@@ -32,8 +32,16 @@ for model in tso pso; do
         > "/tmp/canary_sb_$model.out" || [ $? -eq 1 ]
     grep -q 'witness verification: 1/1' "/tmp/canary_sb_$model.out"
 done
+# Fn-pointer chain smoke: the fork target only resolves after five
+# rounds of fn-pointer propagation, so a Steensgaard pass with a round
+# cap misses this use-after-free and exits 0. Exit 1 is required.
+rc=0
+./target/release/canary examples/fnptr_chain.cir > /tmp/canary_fnptr_chain.out || rc=$?
+[ "$rc" -eq 1 ]
+grep -q 'use-after-free (concurrent): free x in `main` reaches use y in `worker`' \
+    /tmp/canary_fnptr_chain.out
 # Trace smoke: the profiler must emit a parseable Chrome trace covering
-# all three phases plus at least one per-SMT-query span, and the trace
+# every pipeline step plus at least one per-SMT-query span, and the trace
 # must stay byte-deterministic across worker counts (timing normalized).
 ./target/release/canary examples/fig2_variant.cir --stats \
     --trace-out /tmp/canary_trace.json || [ $? -eq 1 ]  # exit 1 = bug reported
@@ -45,7 +53,7 @@ if command -v python3 >/dev/null 2>&1; then
 else
     grep -q '"traceEvents"' /tmp/canary_trace.json
 fi
-for span in '"alg1"' '"alg2"' '"detect"' 'smt.query:'; do
+for span in '"callgraph"' '"threads"' '"alg1"' '"mhp"' '"alg2"' '"detect"' 'smt.query:'; do
     grep -q "$span" /tmp/canary_trace.json
 done
 cargo test -q --offline --test trace

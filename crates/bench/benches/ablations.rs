@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use canary_core::{Canary, CanaryConfig};
+use canary_core::{Canary, CanaryConfig, ProgramFacts, VfgBuild};
 use canary_detect::{BugKind, DetectOptions};
 use canary_interference::InterferenceOptions;
 use canary_smt::{check, SolverOptions, SolverStats, SolverStrategy};
@@ -97,7 +97,8 @@ fn bench_lazy_vs_eager(c: &mut Criterion) {
     g.bench_with_input(BenchmarkId::new("eager", 1200), &w, |b, w| {
         let canary = Canary::with_config(uaf_config(true, true, 1));
         b.iter(|| {
-            let (pool, df, _ir, _cg, _ts, _m) = canary.build_vfg(&w.prog);
+            let facts = ProgramFacts::compute(&w.prog);
+            let VfgBuild { pool, df, .. } = canary.build_vfg(&w.prog, &facts);
             let stats = SolverStats::default();
             let opts = SolverOptions::default();
             let mut sat_edges = 0usize;

@@ -7,7 +7,8 @@ fn main() {
         let w = canary_workloads::generate(&spec);
         let canary = canary_core::Canary::new();
         let t0 = std::time::Instant::now();
-        let (_p, _df, _ir, _cg, _ts, m) = canary.build_vfg(&w.prog);
+        let facts = canary_core::ProgramFacts::compute(&w.prog);
+        let m = canary.build_vfg(&w.prog, &facts).metrics;
         println!(
             "{} stmts: total {:?} (dataflow {:?}, interference {:?})",
             w.prog.stmt_count(), t0.elapsed(), m.t_dataflow, m.t_interference

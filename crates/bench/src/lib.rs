@@ -13,7 +13,7 @@ pub mod diff;
 use std::time::{Duration, Instant};
 
 use canary_baselines::{fsam, saber, Budgeted, Deadline};
-use canary_core::{Canary, CanaryConfig};
+use canary_core::{Canary, CanaryConfig, ProgramFacts, VfgBuild};
 use canary_detect::{BugKind, DetectOptions};
 use canary_ir::Label;
 use canary_workloads::{evaluate, Eval, Workload};
@@ -64,7 +64,8 @@ impl Measurement {
 pub fn measure_canary_vfg(w: &Workload) -> Measurement {
     let canary = Canary::new();
     let t0 = Instant::now();
-    let (pool, _df, _ir, _cg, _ts, metrics) = canary.build_vfg(&w.prog);
+    let facts = ProgramFacts::compute(&w.prog);
+    let VfgBuild { pool, metrics, .. } = canary.build_vfg(&w.prog, &facts);
     let time = t0.elapsed();
     // Guards live in the term pool; count them into the footprint.
     let bytes = metrics.vfg_bytes + pool.len() * 48;
@@ -116,8 +117,8 @@ pub fn measure_front_end(w: &Workload, threads: usize) -> canary_core::Metrics {
         threads,
         ..uaf_config()
     });
-    let (_pool, _df, _ir, _cg, _ts, metrics) = canary.build_vfg(&w.prog);
-    metrics
+    let facts = ProgramFacts::compute(&w.prog);
+    canary.build_vfg(&w.prog, &facts).metrics
 }
 
 /// Canary's full pipeline on one subject: (time, bytes, eval).

@@ -437,6 +437,56 @@ impl AnalysisOutcome {
     }
 }
 
+/// The whole-program facts every later phase reads, computed once per
+/// run: the thread call graph, with indirect call and fork targets
+/// resolved by the Steensgaard pass (§6), and the static thread
+/// structure.
+#[derive(Debug)]
+pub struct ProgramFacts {
+    /// The thread call graph (§4.1).
+    pub cg: CallGraph,
+    /// Static threads and the functions each may run.
+    pub ts: ThreadStructure,
+}
+
+impl ProgramFacts {
+    /// Builds the call graph and the thread structure of `prog`.
+    pub fn compute(prog: &Program) -> Self {
+        Self::compute_traced(prog, &Tracer::disabled())
+    }
+
+    /// [`compute`](Self::compute) with one pipeline span per step.
+    pub fn compute_traced(prog: &Program, tracer: &Tracer) -> Self {
+        let cg = {
+            let _phase = tracer.span(LANE_PIPELINE, "pipeline", 0, || "callgraph".into());
+            CallGraph::build(prog)
+        };
+        let ts = {
+            let _phase = tracer.span(LANE_PIPELINE, "pipeline", 1, || "threads".into());
+            ThreadStructure::compute(prog, &cg)
+        };
+        ProgramFacts { cg, ts }
+    }
+}
+
+/// What VFG construction hands to detection: the VFG itself (inside
+/// the Alg. 1 result, with Alg. 2's interference edges added), the
+/// terms its guards are built from, and the MHP relation Alg. 2 pruned
+/// with, which detection reuses.
+#[derive(Debug)]
+pub struct VfgBuild<'p> {
+    /// Interned guard and constraint terms.
+    pub pool: TermPool,
+    /// Alg. 1's summaries and the VFG.
+    pub df: canary_dataflow::DataflowResult,
+    /// Alg. 2's escape, edge and pruning facts.
+    pub interference: InterferenceResult,
+    /// May-happen-in-parallel over the run's program facts.
+    pub mhp: MhpAnalysis<'p>,
+    /// Per-phase measurements so far.
+    pub metrics: Metrics,
+}
+
 /// Errors surfaced by the facade.
 #[derive(Debug)]
 pub enum Error {
@@ -530,9 +580,14 @@ impl Canary {
     }
 
     fn analyze_uncloned(&self, prog: &Program, tracer: &Tracer) -> AnalysisOutcome {
-        let (mut pool, mut df, ir_result, cg, ts, metrics0) = self.build_vfg_traced(prog, tracer);
-        let mhp = MhpAnalysis::new(prog, &cg, &ts);
-        let mut metrics = metrics0;
+        let facts = ProgramFacts::compute_traced(prog, tracer);
+        let VfgBuild {
+            mut pool,
+            mut df,
+            interference,
+            mhp,
+            mut metrics,
+        } = self.build_vfg_traced(prog, &facts, tracer);
 
         // Seed the run-wide audit log with the interference layer's
         // pruned store/load pairs — candidates suppressed before any
@@ -540,7 +595,7 @@ impl Canary {
         // fixpoint commits them in (store, load) order, so the audit
         // sequence is deterministic.
         let mut audit = AuditLog::new();
-        for p in &ir_result.pruned_pairs {
+        for p in &interference.pruned_pairs {
             let d = match p.reason {
                 PruneReason::Mhp {
                     parallel,
@@ -615,13 +670,13 @@ impl Canary {
         // SMT portfolio too, unless the solver was tuned separately.
         let mut detect_opts = self.config.detect.clone();
         detect_opts.solver.num_threads = detect_opts.solver.num_threads.max(self.config.threads.max(1));
-        let ctx = DetectContext::new(prog, &ts, &mhp, &df, &detect_opts);
+        let ctx = DetectContext::new(prog, &facts.ts, &mhp, &df, &detect_opts);
         let mut stats = DetectStats::default();
         let mut reports = Vec::new();
         let mut refuted = Vec::new();
         let mut query_profiles = Vec::new();
         {
-            let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 2, || "detect".into());
+            let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 5, || "detect".into());
             // One query cache for the whole run: UNSAT cores and
             // memoized verdicts learned by one checker refute later
             // checkers' queries. Checkers run sequentially, so the
@@ -730,37 +785,21 @@ impl Canary {
         }
     }
 
-    /// Runs only the VFG-construction phases (Alg. 1 + Alg. 2); the
-    /// Fig. 7 comparison measures exactly this.
-    #[allow(clippy::type_complexity)]
-    pub fn build_vfg(
-        &self,
-        prog: &Program,
-    ) -> (
-        TermPool,
-        canary_dataflow::DataflowResult,
-        InterferenceResult,
-        CallGraph,
-        ThreadStructure,
-        Metrics,
-    ) {
-        self.build_vfg_traced(prog, &Tracer::disabled())
+    /// Runs only the VFG-construction phases (Alg. 1 + Alg. 2) over
+    /// precomputed program facts; the Fig. 7 comparison measures
+    /// exactly this.
+    pub fn build_vfg<'p>(&self, prog: &'p Program, facts: &'p ProgramFacts) -> VfgBuild<'p> {
+        self.build_vfg_traced(prog, facts, &Tracer::disabled())
     }
 
     /// [`build_vfg`](Self::build_vfg) with spans collected into `tracer`.
-    #[allow(clippy::type_complexity)]
-    pub fn build_vfg_traced(
+    pub fn build_vfg_traced<'p>(
         &self,
-        prog: &Program,
+        prog: &'p Program,
+        facts: &'p ProgramFacts,
         tracer: &Tracer,
-    ) -> (
-        TermPool,
-        canary_dataflow::DataflowResult,
-        InterferenceResult,
-        CallGraph,
-        ThreadStructure,
-        Metrics,
-    ) {
+    ) -> VfgBuild<'p> {
+        let ProgramFacts { cg, ts } = facts;
         let threads = self.config.threads.max(1);
         let mut metrics = Metrics {
             stmt_count: prog.stmt_count(),
@@ -771,11 +810,9 @@ impl Canary {
         let mut pool = TermPool::new();
 
         let t0 = Instant::now();
-        let cg = CallGraph::build(prog);
-        let ts = ThreadStructure::compute(prog, &cg);
         let mut df = {
-            let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 0, || "alg1".into());
-            let df = canary_dataflow::run_traced(prog, &cg, &mut pool, threads, tracer);
+            let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 2, || "alg1".into());
+            let df = canary_dataflow::run_traced(prog, cg, &mut pool, threads, tracer);
             phase.record("tasks", df.tasks as u64);
             phase.record("functions", df.func_profiles.len() as u64);
             df
@@ -797,15 +834,18 @@ impl Canary {
         });
 
         let t1 = Instant::now();
-        let mhp = MhpAnalysis::new(prog, &cg, &ts);
+        let mhp = {
+            let _phase = tracer.span(LANE_PIPELINE, "pipeline", 3, || "mhp".into());
+            MhpAnalysis::new(prog, cg, ts)
+        };
         // The pipeline-wide knob drives the interference shards unless
         // the phase options already ask for more.
         let mut iopts = self.config.interference.clone();
         iopts.threads = iopts.threads.max(threads);
-        let ir_result = {
-            let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 1, || "alg2".into());
+        let interference = {
+            let mut phase = tracer.span(LANE_PIPELINE, "pipeline", 4, || "alg2".into());
             let r = canary_interference::run_traced(
-                prog, &ts, &mhp, &mut df, &mut pool, &iopts, tracer,
+                prog, ts, &mhp, &mut df, &mut pool, &iopts, tracer,
             );
             phase.record("rounds", r.rounds as u64);
             phase.record("interference_edges", r.interference_edges as u64);
@@ -817,27 +857,32 @@ impl Canary {
         metrics.interference_phase = PhaseStats {
             wall: metrics.t_interference,
             workers: iopts.threads,
-            tasks: ir_result.tasks,
+            tasks: interference.tasks,
             peak_rss: canary_trace::metrics::peak_rss_bytes(),
         };
         canary_trace::log(LogLevel::Summary, || {
             format!(
                 "alg2: {} round(s), {} interference edge(s) in {:?}",
-                ir_result.rounds, ir_result.interference_edges, metrics.t_interference
+                interference.rounds, interference.interference_edges, metrics.t_interference
             )
         });
-        drop(mhp);
 
         metrics.vfg_nodes = df.vfg.node_count();
         metrics.vfg_edges = df.vfg.edge_count();
         metrics.interference_edges = df.vfg.interference_edge_count();
-        metrics.mhp_lock_pruned = ir_result.mhp_lock_pruned;
-        metrics.escaped_objects = ir_result.escaped.len();
+        metrics.mhp_lock_pruned = interference.mhp_lock_pruned;
+        metrics.escaped_objects = interference.escaped.len();
         metrics.vfg_bytes = df.vfg.approx_bytes();
         metrics.term_count = pool.len();
         metrics.term_bytes = pool.approx_bytes();
         metrics.func_profiles = df.func_profiles.clone();
-        (pool, df, ir_result, cg, ts, metrics)
+        VfgBuild {
+            pool,
+            df,
+            interference,
+            mhp,
+            metrics,
+        }
     }
 }
 

@@ -9,31 +9,65 @@
 //! our IR models it as function pointers, which the same machinery
 //! resolves.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::ids::{FuncId, Label, VarId};
 use crate::inst::{Callee, Inst};
 use crate::program::Program;
 
+/// The "no pointee" sentinel of [`Steensgaard`]'s dense pointee table.
+const NONE: u32 = u32::MAX;
+
 /// A Steensgaard (unification-based) points-to analysis over top-level
 /// variables, abstract objects and function constants.
 ///
 /// Each equivalence class has at most one pointee class; assignments
-/// unify. The analysis runs in near-linear time (§6 cites Steensgaard
-/// 1996) and is used only for call-graph construction — the precise,
-/// guarded points-to information comes from Alg. 1 in `canary-dataflow`.
+/// unify. Classes live in a union-find with union by rank and path
+/// compression, and unifying two classes merges their pointees and
+/// their function lists, so every statement costs amortized
+/// near-constant time.
+///
+/// Direct calls and forks bind once in a single pass over the program.
+/// An indirect site can only be bound after the function constants
+/// reaching its pointer are known, and binding one site can reveal
+/// targets at another, so the indirect sites are then swept until no
+/// site gains a target. Each (site, target) pair is bound exactly once,
+/// which makes the result the least fixpoint for any depth of
+/// function-pointer chain, in `O((S + B) · α(N) + R · I)` time for `S`
+/// statements, `B` bindings, `N` nodes, `I` indirect sites and `R`
+/// sweeps (at most the chain depth plus one).
+///
+/// The analysis is used only for call-graph construction — the
+/// precise, guarded points-to information comes from Alg. 1 in
+/// `canary-dataflow`.
 #[derive(Debug)]
 pub struct Steensgaard {
-    /// Union-find parent table over node indices.
+    /// Union-find parent table over node indices; flattened at the end
+    /// of [`run`](Self::run), so every node points at its root.
     parent: Vec<u32>,
-    /// `pointee[class]` — the class this class points to, if any.
-    pointee: HashMap<u32, u32>,
+    /// Union-by-rank ranks, meaningful at roots.
+    rank: Vec<u8>,
+    /// `pointee[root]` — a node of the class this class points to, or
+    /// [`NONE`].
+    pointee: Vec<u32>,
+    /// `funcs[root]` — the function constants in the class; ascending
+    /// once `run` returns.
+    funcs: Vec<Vec<FuncId>>,
     /// Number of variable nodes (variables come first in node space).
     n_vars: u32,
-    /// Node index of each function constant.
-    func_node: Vec<u32>,
-    /// For each class representative, the function constants inside it.
-    funcs_in_class: HashMap<u32, Vec<FuncId>>,
+    /// Node index of the first function constant.
+    first_func: u32,
+    /// Pointee pairs still to unify, reused across unions.
+    pending: Vec<(u32, u32)>,
+}
+
+/// An indirect call or fork site awaiting its targets.
+struct IndirectSite<'p> {
+    fp: VarId,
+    args: &'p [VarId],
+    dsts: &'p [VarId],
+    /// How many targets are bound so far.
+    bound: usize,
 }
 
 impl Steensgaard {
@@ -44,29 +78,86 @@ impl Steensgaard {
         let n_funcs = prog.funcs.len() as u32;
         // Node layout: [vars][objs][funcs][fresh...]
         let total = n_vars + n_objs + n_funcs;
+        let first_func = n_vars + n_objs;
+        let mut funcs = vec![Vec::new(); total as usize];
+        for f in 0..n_funcs {
+            funcs[(first_func + f) as usize].push(FuncId::new(f));
+        }
         let mut s = Steensgaard {
             parent: (0..total).collect(),
-            pointee: HashMap::new(),
+            rank: vec![0; total as usize],
+            pointee: vec![NONE; total as usize],
+            funcs,
             n_vars,
-            func_node: ((n_vars + n_objs)..total).collect(),
-            funcs_in_class: HashMap::new(),
+            first_func,
+            pending: Vec::new(),
         };
-        // Unification is monotone, so re-running the transfer pass lets
-        // late `FuncAddr` bindings flow into earlier indirect call sites;
-        // three rounds reach a fixpoint for any fnptr chain of practical
-        // depth (the classes only ever merge).
-        for _ in 0..3 {
-            for l in prog.labels() {
-                s.transfer(prog, l);
+
+        // Every function's returned value lists, gathered once.
+        let mut returns: Vec<Vec<&[VarId]>> = vec![Vec::new(); n_funcs as usize];
+        for l in prog.labels() {
+            if let Inst::Return { vals } = prog.inst(l) {
+                returns[prog.func_of(l).index()].push(vals);
             }
         }
-        // Index function constants by their final representative.
-        for f in 0..n_funcs {
-            let rep = s.find(s.func_node[f as usize]);
-            s.funcs_in_class
-                .entry(rep)
-                .or_default()
-                .push(FuncId::new(f));
+
+        let mut sites = Vec::new();
+        for l in prog.labels() {
+            match prog.inst(l) {
+                Inst::Call {
+                    dsts,
+                    callee: Callee::Indirect(fp),
+                    args,
+                    ..
+                } => sites.push(IndirectSite {
+                    fp: *fp,
+                    args,
+                    dsts,
+                    bound: 0,
+                }),
+                Inst::Fork {
+                    entry: Callee::Indirect(fp),
+                    args,
+                    ..
+                } => sites.push(IndirectSite {
+                    fp: *fp,
+                    args,
+                    dsts: &[],
+                    bound: 0,
+                }),
+                inst => s.transfer(prog, inst, &returns),
+            }
+        }
+
+        // Classes only ever merge, so a site's targets only grow and the
+        // targets already bound are a subset of the current ones: a site
+        // whose target count is unchanged has nothing new to bind.
+        let mut bound: HashSet<(usize, FuncId)> = HashSet::new();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (i, site) in sites.iter_mut().enumerate() {
+                let class = s.target_class(site.fp);
+                if class == NONE || s.funcs[class as usize].len() == site.bound {
+                    continue;
+                }
+                let targets = s.funcs[class as usize].clone();
+                site.bound = targets.len();
+                for f in targets {
+                    if bound.insert((i, f)) {
+                        s.bind(prog, f, site.args, site.dsts, &returns);
+                        changed = true;
+                    }
+                }
+            }
+        }
+
+        // Flatten, so that `find` on `&self` takes one step per query.
+        for x in 0..s.parent.len() as u32 {
+            s.find_mut(x);
+        }
+        for fs in &mut s.funcs {
+            fs.sort_unstable();
         }
         s
     }
@@ -79,6 +170,7 @@ impl Steensgaard {
         self.n_vars + o.0
     }
 
+    /// The root of `x`'s class; O(1) once `run` has flattened the table.
     fn find(&self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             x = self.parent[x as usize];
@@ -86,53 +178,85 @@ impl Steensgaard {
         x
     }
 
-    fn union(&mut self, a: u32, b: u32) -> u32 {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return ra;
+    /// The root of `x`'s class, compressing the path behind it.
+    fn find_mut(&mut self, x: u32) -> u32 {
+        let root = self.find(x);
+        let mut y = x;
+        while self.parent[y as usize] != root {
+            let next = self.parent[y as usize];
+            self.parent[y as usize] = root;
+            y = next;
         }
-        self.parent[rb as usize] = ra;
-        // Unifying two classes must also unify their pointees.
-        let pa = self.pointee.remove(&ra);
-        let pb = self.pointee.remove(&rb);
-        match (pa, pb) {
-            (Some(x), Some(y)) => {
-                let p = self.union(x, y);
-                let r = self.find(ra);
-                self.pointee.insert(r, p);
+        root
+    }
+
+    /// Unifies the classes of `a` and `b`, and then their pointees.
+    fn union(&mut self, a: u32, b: u32) {
+        self.pending.push((a, b));
+        while let Some((a, b)) = self.pending.pop() {
+            let (ra, rb) = (self.find_mut(a), self.find_mut(b));
+            if ra == rb {
+                continue;
             }
-            (Some(x), None) | (None, Some(x)) => {
-                let r = self.find(ra);
-                self.pointee.insert(r, self.find(x));
+            let (root, child) = if self.rank[ra as usize] < self.rank[rb as usize] {
+                (rb, ra)
+            } else {
+                (ra, rb)
+            };
+            if self.rank[root as usize] == self.rank[child as usize] {
+                self.rank[root as usize] += 1;
             }
-            (None, None) => {}
+            self.parent[child as usize] = root;
+            let mut moved = std::mem::take(&mut self.funcs[child as usize]);
+            let kept = &mut self.funcs[root as usize];
+            if kept.len() < moved.len() {
+                std::mem::swap(kept, &mut moved);
+            }
+            kept.append(&mut moved);
+            let pc = std::mem::replace(&mut self.pointee[child as usize], NONE);
+            let pr = self.pointee[root as usize];
+            if pr == NONE {
+                self.pointee[root as usize] = pc;
+            } else if pc != NONE {
+                self.pending.push((pr, pc));
+            }
         }
-        self.find(ra)
     }
 
     /// The pointee class of `x`'s class, creating a fresh one on demand.
     fn deref_class(&mut self, x: u32) -> u32 {
-        let r = self.find(x);
-        if let Some(&p) = self.pointee.get(&r) {
-            return self.find(p);
+        let r = self.find_mut(x);
+        let p = self.pointee[r as usize];
+        if p != NONE {
+            return self.find_mut(p);
         }
         let fresh = self.parent.len() as u32;
         self.parent.push(fresh);
-        self.pointee.insert(r, fresh);
+        self.rank.push(0);
+        self.pointee.push(NONE);
+        self.funcs.push(Vec::new());
+        self.pointee[r as usize] = fresh;
         fresh
     }
 
-    fn transfer(&mut self, prog: &Program, l: Label) {
-        match prog.inst(l) {
+    /// The root of the class `fp` points to, or [`NONE`].
+    fn target_class(&mut self, fp: VarId) -> u32 {
+        let r = self.find_mut(self.var_node(fp));
+        match self.pointee[r as usize] {
+            NONE => NONE,
+            p => self.find_mut(p),
+        }
+    }
+
+    fn transfer(&mut self, prog: &Program, inst: &Inst, returns: &[Vec<&[VarId]>]) {
+        match inst {
             Inst::Alloc { dst, obj } => {
                 let d = self.deref_class(self.var_node(*dst));
-                let o = self.obj_node(*obj);
-                self.union(d, o);
+                self.union(d, self.obj_node(*obj));
             }
             Inst::FuncAddr { dst, func } => {
                 let d = self.deref_class(self.var_node(*dst));
-                let f = self.func_node[func.index()];
-                self.union(d, f);
+                self.union(d, self.first_func + func.0);
             }
             Inst::Copy { dst, src } | Inst::Un { dst, src, .. } => {
                 self.union(self.var_node(*dst), self.var_node(*src));
@@ -150,72 +274,48 @@ impl Steensgaard {
                 self.union(p, self.var_node(*src));
             }
             Inst::Call {
-                dsts, callee, args, ..
-            } => {
-                self.bind_call(prog, callee, args, dsts);
-            }
-            Inst::Fork { entry, args, .. } => {
-                self.bind_call(prog, entry, args, &[]);
-            }
+                dsts,
+                callee: Callee::Direct(f),
+                args,
+                ..
+            } => self.bind(prog, *f, args, dsts, returns),
+            Inst::Fork {
+                entry: Callee::Direct(f),
+                args,
+                ..
+            } => self.bind(prog, *f, args, &[], returns),
             _ => {}
         }
     }
 
-    /// Unifies actuals with formals (and returns with destinations) for
-    /// every possible target of the call.
-    fn bind_call(&mut self, prog: &Program, callee: &Callee, args: &[VarId], dsts: &[VarId]) {
-        let targets: Vec<FuncId> = match callee {
-            Callee::Direct(f) => vec![*f],
-            Callee::Indirect(fp) => {
-                // During the single pass, resolve with current classes;
-                // unification is monotone so a later FuncAddr that joins
-                // this class still unifies formals via the shared class.
-                // To stay sound with one pass we unify the *arguments*
-                // with every function currently in the pointee class and
-                // additionally tie the fp pointee class to a per-class
-                // formal record. For simplicity (and because workloads
-                // assign fnptrs before forking), we resolve here.
-                self.func_targets(*fp)
-            }
-        };
-        for f in targets {
-            let func = prog.func(f);
-            for (i, &a) in args.iter().enumerate() {
-                if let Some(&p) = func.params.get(i) {
-                    self.union(self.var_node(a), self.var_node(p));
-                }
-            }
-            // Unify destinations with every returned value.
-            for l in func.labels() {
-                if let Inst::Return { vals } = prog.inst(l) {
-                    for (i, &d) in dsts.iter().enumerate() {
-                        if let Some(&r) = vals.get(i) {
-                            self.union(self.var_node(d), self.var_node(r));
-                        }
-                    }
-                }
+    /// Unifies actuals with `f`'s formals and destinations with every
+    /// value `f` returns.
+    fn bind(
+        &mut self,
+        prog: &Program,
+        f: FuncId,
+        args: &[VarId],
+        dsts: &[VarId],
+        returns: &[Vec<&[VarId]>],
+    ) {
+        for (&a, &p) in args.iter().zip(&prog.func(f).params) {
+            self.union(self.var_node(a), self.var_node(p));
+        }
+        for vals in &returns[f.index()] {
+            for (&d, &r) in dsts.iter().zip(vals.iter()) {
+                self.union(self.var_node(d), self.var_node(r));
             }
         }
     }
 
-    /// The functions a function-pointer variable may target.
+    /// The functions a function-pointer variable may target, in
+    /// ascending [`FuncId`] order.
     pub fn func_targets(&self, fp: VarId) -> Vec<FuncId> {
         let r = self.find(self.var_node(fp));
-        let Some(&p) = self.pointee.get(&r) else {
-            return Vec::new();
-        };
-        let p = self.find(p);
-        // funcs_in_class is populated at the end of `run`; before that,
-        // fall back to scanning function nodes.
-        if let Some(fs) = self.funcs_in_class.get(&p) {
-            return fs.clone();
+        match self.pointee[r as usize] {
+            NONE => Vec::new(),
+            p => self.funcs[self.find(p) as usize].clone(),
         }
-        self.func_node
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| self.find(n) == p)
-            .map(|(i, _)| FuncId::new(i as u32))
-            .collect()
     }
 
     /// Whether two variables may point to the same class (unification
@@ -225,9 +325,9 @@ impl Steensgaard {
         if ra == rb {
             return true;
         }
-        match (self.pointee.get(&ra), self.pointee.get(&rb)) {
-            (Some(&x), Some(&y)) => self.find(x) == self.find(y),
-            _ => false,
+        match (self.pointee[ra as usize], self.pointee[rb as usize]) {
+            (NONE, _) | (_, NONE) => false,
+            (x, y) => self.find(x) == self.find(y),
         }
     }
 }

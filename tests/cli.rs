@@ -659,3 +659,22 @@ fn stats_prints_the_audit_reconciliation_line() {
     assert!(line.contains("candidates"), "{line}");
     assert!(!line.contains("FAILED"), "{line}");
 }
+
+#[test]
+fn fork_through_a_deep_fnptr_chain_is_resolved() {
+    // The fork target is only known after five rounds of fn-pointer
+    // propagation; a points-to pass with a fixed round cap drops it and
+    // the run silently reports nothing.
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/fnptr_chain.cir");
+    let out = canary_bin().arg(&path).arg("--stats").output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("use-after-free (concurrent): free x in `main` reaches use y in `worker`"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("audit: 1 candidates = 1 reported"),
+        "{stdout}"
+    );
+}

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use canary::{Canary, CanaryConfig};
+use canary::{Canary, CanaryConfig, ProgramFacts};
 use canary_baselines::{fsam, saber, Budgeted, Deadline};
 use canary_detect::{BugKind, DetectOptions};
 use canary_ir::Label;
@@ -129,7 +129,8 @@ fn vfg_sizes_scale_down_for_canary() {
     };
     let w = generate(&spec);
     let canary = Canary::new();
-    let (_pool, df, _ir, _cg, _ts, _m) = canary.build_vfg(&w.prog);
+    let facts = ProgramFacts::compute(&w.prog);
+    let df = canary.build_vfg(&w.prog, &facts).df;
     let saber = saber::build_vfg(&w.prog, Deadline::after(Duration::from_secs(120)))
         .expect_done("fits budget");
     assert!(

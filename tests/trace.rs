@@ -81,9 +81,11 @@ fn trace_covers_all_three_phases_and_smt_queries() {
         .iter()
         .map(|e| e["name"].as_str().unwrap().to_string())
         .collect();
-    for phase in ["alg1", "alg2", "detect"] {
+    for phase in ["callgraph", "threads", "alg1", "mhp", "alg2", "detect"] {
         assert!(names.iter().any(|n| n == phase), "missing {phase}: {names:?}");
     }
+    // Alg. 2 and detection share one MHP relation per run.
+    assert_eq!(names.iter().filter(|n| *n == "mhp").count(), 1, "{names:?}");
     assert!(
         names.iter().any(|n| n.starts_with("alg1.func:")),
         "{names:?}"
@@ -165,7 +167,7 @@ fn cli_trace_out_writes_valid_chrome_trace() {
         .iter()
         .map(|e| e["name"].as_str().unwrap())
         .collect();
-    for phase in ["alg1", "alg2", "detect"] {
+    for phase in ["callgraph", "threads", "alg1", "mhp", "alg2", "detect"] {
         assert!(names.contains(&phase), "missing {phase}: {names:?}");
     }
     assert!(names.iter().any(|n| n.starts_with("smt.query:")), "{names:?}");
