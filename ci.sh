@@ -8,6 +8,17 @@ set -eux
 cargo build --release --offline
 cargo test -q --workspace --offline
 cargo clippy --workspace --offline -- -D warnings
+# The benchmark harness (perfbench/, a package of its own that builds
+# against the workspace crates by path) must keep building, so an API
+# change that breaks it fails here. Its lock file is committed with the
+# benchmark; cargo rewrites it when a workspace crate's dependency set
+# changes, so the committed copy is put back after the build.
+cp perfbench/Cargo.lock target/perfbench.Cargo.lock
+rc=0
+cargo build --release --offline --manifest-path perfbench/Cargo.toml \
+    --target-dir target/perfbench || rc=$?
+cp target/perfbench.Cargo.lock perfbench/Cargo.lock
+[ "$rc" -eq 0 ]
 # Differential oracle suite over its fixed 16-seed corpus, serially and
 # with the parallel front-end, so witness replay sees both configurations.
 cargo test -q --offline --test oracle_differential
@@ -59,11 +70,9 @@ done
 cargo test -q --offline --test trace
 CANARY_TEST_THREADS=2 cargo test -q --offline --test trace
 # Solver-strategy equivalence: the incremental query-family back-end
-# must agree with the fresh baseline (reports, verdicts, cores) under
-# both strategies and with the parallel front-end.
+# must agree with the fresh baseline (reports, verdicts, cores), also
+# with the parallel front-end.
 cargo test -q --offline --test solver_strategy_equivalence
-CANARY_SOLVER_STRATEGY=fresh cargo test -q --offline --test solver_strategy_equivalence
-CANARY_SOLVER_STRATEGY=incremental cargo test -q --offline --test solver_strategy_equivalence
 CANARY_TEST_THREADS=2 cargo test -q --offline --test solver_strategy_equivalence
 # Report observability gates: the SARIF export must validate against
 # the (vendored, minimal) 2.1.0 schema. Prefer a real jsonschema
@@ -209,19 +218,10 @@ rc=0
     > /tmp/canary_bench_diff.out || rc=$?
 [ "$rc" -eq 1 ]
 grep -q 'REGRESSED' /tmp/canary_bench_diff.out
-# MLoC-scale detect gates (PR-9): the dispatcher/shard/cube equivalence
-# suite serially and with the parallel front-end, then the bench5 smoke
-# — regenerate the saturation-corpus artifact at the committed scale
-# and diff it against the tracked baseline. Work counters are
-# deterministic and must match exactly; wall times get a wide tolerance
-# because CI hosts are noisy and the 4-thread runs time-slice on
-# single-core runners.
+# Shard/thread equivalence of the query-family dispatcher, serially and
+# with the parallel front-end.
 cargo test -q --offline --test shard_equivalence
 CANARY_TEST_THREADS=2 cargo test -q --offline --test shard_equivalence
-CANARY_BENCH_REPS=2 cargo run --release --offline -p canary-bench --bin bench5 -- /tmp/canary_bench5.json
-./target/release/canary bench diff BENCH_5.json /tmp/canary_bench5.json --tolerance 75 \
-    > /tmp/canary_bench5_diff.out
-grep -q '0 regressed' /tmp/canary_bench5_diff.out
 # Analysis-audit gates (PR-10): the suppression-accounting suite
 # (reconciliation invariant + knob-invariant JSONL export + per-layer
 # certificates), serially and with the parallel front-end.

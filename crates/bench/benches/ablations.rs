@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use canary_core::{Canary, CanaryConfig, ProgramFacts, VfgBuild};
 use canary_detect::{BugKind, DetectOptions};
 use canary_interference::InterferenceOptions;
-use canary_smt::{check, SolverOptions, SolverStats, SolverStrategy};
+use canary_smt::{check, SolverOptions, SolverStrategy};
 use canary_workloads::{generate, Workload, WorkloadSpec};
 
 fn workload(stmts: usize) -> Workload {
@@ -99,11 +99,10 @@ fn bench_lazy_vs_eager(c: &mut Criterion) {
         b.iter(|| {
             let facts = ProgramFacts::compute(&w.prog);
             let VfgBuild { pool, df, .. } = canary.build_vfg(&w.prog, &facts);
-            let stats = SolverStats::default();
             let opts = SolverOptions::default();
             let mut sat_edges = 0usize;
             for e in df.vfg.edges() {
-                if check(&pool, e.guard, &opts, &stats).is_sat() {
+                if check(&pool, e.guard, &opts).is_sat() {
                     sat_edges += 1;
                 }
             }

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use canary_smt::{check, SolverOptions, SolverStats, TermId, TermPool};
+use canary_smt::{check, SolverOptions, TermId, TermPool};
 
 /// Φ_ls-shaped formula: one store→load order plus `n` competing stores
 /// that must each land outside the window.
@@ -50,16 +50,14 @@ fn bench_smt(c: &mut Criterion) {
             b.iter(|| {
                 let mut pool = TermPool::new();
                 let f = ls_formula(&mut pool, n);
-                let stats = SolverStats::default();
-                check(&pool, f, &SolverOptions::default(), &stats)
+                check(&pool, f, &SolverOptions::default())
             });
         });
         g.bench_with_input(BenchmarkId::new("guard_conjunction", n), &n, |b, &n| {
             b.iter(|| {
                 let mut pool = TermPool::new();
                 let f = guard_formula(&mut pool, n);
-                let stats = SolverStats::default();
-                check(&pool, f, &SolverOptions::default(), &stats)
+                check(&pool, f, &SolverOptions::default())
             });
         });
         g.bench_with_input(
@@ -69,12 +67,11 @@ fn bench_smt(c: &mut Criterion) {
                 b.iter(|| {
                     let mut pool = TermPool::new();
                     let f = ls_formula(&mut pool, n);
-                    let stats = SolverStats::default();
                     let opts = SolverOptions {
                         prefilter: false,
                         ..SolverOptions::default()
                     };
-                    check(&pool, f, &opts, &stats)
+                    check(&pool, f, &opts)
                 });
             },
         );

@@ -43,14 +43,12 @@ pub mod analysis;
 pub mod exec;
 pub mod locks;
 pub mod pathcond;
-pub mod spill;
 pub mod symbols;
 
 pub use analysis::{
     run, run_traced, run_with, DataflowResult, FuncProfile, FuncSummary, LoadSite, ParamLoad,
     StoreSite,
 };
-pub use spill::{decode_summary, encode_summary};
 pub use locks::{LockModel, LockRegion, LockSite};
 pub use pathcond::{cond_term, PathConditions};
 pub use symbols::{insert_guarded, CellSet, Guarded, MemKey, MemVal, PtsSet, Sym};

@@ -9,14 +9,14 @@
 //! verdict memo (§5.2), fingerprint dedup — records *why* a candidate
 //! died, and a reconciliation invariant
 //! (`candidates == reported + deduped + Σ pruned-by-reason`) turns
-//! silent candidate loss anywhere in the sharded/cubed/spilled
-//! pipeline into a hard failure.
+//! silent candidate loss anywhere in the parallel pipeline into a
+//! hard failure.
 //!
 //! Determinism contract: every record is derived from term-determined
 //! data only (the hash-consed query term, the candidate enumeration
 //! order, the interference fixpoint's committed state), so the JSONL
-//! export is byte-identical across `--threads`, `--solver-strategy`,
-//! `--dispatch`, `--shards` and cube settings. Strategy-dependent
+//! export is byte-identical across `--threads`, `--solver-strategy`
+//! and the solver's shard count. Strategy-dependent
 //! refinements (the solver's assumption core) ride along in a
 //! separate display-only field that never reaches the canonical
 //! export.
@@ -566,7 +566,6 @@ impl AuditLog {
         }
         for (acc, l) in self.dispatch_loads.iter_mut().zip(loads) {
             acc.families += l.families;
-            acc.stolen += l.stolen;
         }
     }
 
@@ -810,23 +809,10 @@ mod tests {
     #[test]
     fn merge_dispatch_loads_sums_per_worker() {
         let mut log = AuditLog::new();
-        log.merge_dispatch_loads(&[WorkerLoad {
-            families: 2,
-            stolen: 1,
-        }]);
-        log.merge_dispatch_loads(&[
-            WorkerLoad {
-                families: 3,
-                stolen: 0,
-            },
-            WorkerLoad {
-                families: 5,
-                stolen: 4,
-            },
-        ]);
+        log.merge_dispatch_loads(&[WorkerLoad { families: 2 }]);
+        log.merge_dispatch_loads(&[WorkerLoad { families: 3 }, WorkerLoad { families: 5 }]);
         assert_eq!(log.dispatch_loads.len(), 2);
         assert_eq!(log.dispatch_loads[0].families, 5);
-        assert_eq!(log.dispatch_loads[0].stolen, 1);
         assert_eq!(log.dispatch_loads[1].families, 5);
     }
 }

@@ -10,7 +10,7 @@ use canary_dataflow::{DataflowResult, LockModel};
 use canary_ir::{Inst, Label, MhpAnalysis, Program, ThreadStructure, VarId};
 use canary_smt::{
     check_all_grouped, check_orders, EventId, Node, OrderEdge, QueryCache, SmtResult,
-    SolverOptions, SolverStats, TermId, TermPool, TheoryResult,
+    SolverOptions, TermId, TermPool, TheoryResult,
 };
 use canary_trace::{Tracer, LANE_DETECT, LANE_SMT};
 use canary_vfg::{EdgeKind, NodeId, NodeKind};
@@ -119,10 +119,7 @@ pub struct DetectStats {
     /// Learned clauses still alive on family solvers at family end —
     /// reuse the fresh strategy discards between queries.
     pub clauses_retained: u64,
-    /// Family members that blew the conflict budget and escalated to
-    /// cube-and-conquer (0 unless `--cube-split` is armed).
-    pub cube_escalated: u64,
-    /// Cache merge barriers executed by the dispatcher (shard epochs;
+    /// Cache merge barriers executed by the dispatcher (epochs;
     /// deterministic for a fixed shard count and family list).
     pub epochs: u64,
 }
@@ -164,11 +161,8 @@ pub struct QueryProfile {
     pub core_subsumed: bool,
     /// Solved on a persistent family solver.
     pub incremental: bool,
-    /// Blew the per-member conflict budget on the family solver and
-    /// was re-solved by the deterministic cube-and-conquer sweep.
-    pub cubed: bool,
     /// Query-family key the query was grouped under (the candidate's
-    /// source label) — the attribution anchor for escalated queries.
+    /// source label).
     pub family: u64,
     /// Wall time spent solving (not deterministic).
     pub wall: Duration,
@@ -433,8 +427,7 @@ fn validate(
     stats.queries += candidates.len();
     let queries: Vec<TermId> = candidates.iter().map(|c| c.query).collect();
     let groups: Vec<u64> = candidates.iter().map(|c| c.family).collect();
-    let solver_stats = SolverStats::default();
-    let grouped = check_all_grouped(pool, &queries, &groups, &opts.solver, &solver_stats, cache);
+    let grouped = check_all_grouped(pool, &queries, &groups, &opts.solver, cache);
     let outcomes = grouped.outcomes;
     stats.families += grouped.families;
     stats.clauses_retained += grouped.clauses_retained;
@@ -464,13 +457,10 @@ fn validate(
             memo_hit: o.memo_hit,
             core_subsumed: o.core_subsumed,
             incremental: o.incremental,
-            cubed: o.cubed,
             family: cand.family,
             wall: o.wall,
         };
-        // Aggregate only the per-query counters (not the shared atomics,
-        // which diagnostics below would pollute): sums of deterministic
-        // per-query counts stay deterministic.
+        // Sums of deterministic per-query counts stay deterministic.
         stats.prefiltered += u64::from(p.prefiltered);
         stats.decisions += p.decisions;
         stats.conflicts += p.conflicts;
@@ -480,7 +470,6 @@ fn validate(
         stats.memo_hits += u64::from(p.memo_hit);
         stats.core_subsumed += u64::from(p.core_subsumed);
         stats.incremental += u64::from(p.incremental);
-        stats.cube_escalated += u64::from(p.cubed);
         tracer.event(
             LANE_SMT,
             "smt.query",
@@ -508,7 +497,6 @@ fn validate(
                     ("memo_hit", u64::from(p.memo_hit)),
                     ("core_subsumed", u64::from(p.core_subsumed)),
                     ("incremental", u64::from(p.incremental)),
-                    ("cubed", u64::from(p.cubed)),
                 ];
                 if p.sat {
                     args.push(("report_fp", fp.0));
@@ -524,7 +512,7 @@ fn validate(
                     "canary: slow-query: {} {}->{} took {:?} (budget {budget_ms}ms): \
                      family={} path_len={} bool_atoms={} order_atoms={} decisions={} \
                      conflicts={} propagations={} learned={} theory_lemmas={} sat={} \
-                     prefiltered={} memo_hit={} core_subsumed={} incremental={} cubed={}",
+                     prefiltered={} memo_hit={} core_subsumed={} incremental={}",
                     p.kind,
                     p.source.0,
                     p.sink.0,
@@ -543,28 +531,21 @@ fn validate(
                     p.memo_hit,
                     p.core_subsumed,
                     p.incremental,
-                    p.cubed,
                 );
             }
         }
         profiles.push(p);
     }
     canary_trace::log(canary_trace::LogLevel::Summary, || {
-        // Per-worker loads and steal counts are timing-dependent, so
-        // they stay out of DetectStats and the deterministic registry
-        // families; besides this heartbeat line they surface only as
-        // the *volatile* `canary_dispatch_*` family, which the
-        // determinism normalizers drop wholesale.
+        // Per-worker loads are timing-dependent, so they stay out of
+        // DetectStats and the deterministic registry families; besides
+        // this heartbeat line they surface only as the *volatile*
+        // `canary_dispatch_*` family, which the determinism
+        // normalizers drop wholesale.
         let loads = grouped
             .worker_loads
             .iter()
-            .map(|l| {
-                if l.stolen > 0 {
-                    format!("{}(+{} stolen)", l.families, l.stolen)
-                } else {
-                    format!("{}", l.families)
-                }
-            })
+            .map(|l| l.families.to_string())
             .collect::<Vec<_>>()
             .join("/");
         let loads = if loads.is_empty() {
@@ -607,7 +588,7 @@ fn validate(
                             .to_string(),
                     ]
                 } else {
-                    canary_smt::minimal_core(pool, cand.query, &opts.solver, &solver_stats)
+                    canary_smt::minimal_core(pool, cand.query, &opts.solver)
                         .unwrap_or_default()
                         .into_iter()
                         .map(|c| pool.render(c))
@@ -634,7 +615,7 @@ fn validate(
         // topological order of the model's order atoms, completed with
         // the fork/join sites the oracle needs to replay it, plus the
         // model's branch directions.
-        if let Some(w) = canary_smt::check_witness_model(pool, cand.query, &solver_stats) {
+        if let Some(w) = canary_smt::check_witness_model(pool, cand.query) {
             let guards: Vec<(canary_ir::CondId, bool)> = w
                 .bools
                 .iter()

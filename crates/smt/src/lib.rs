@@ -24,18 +24,14 @@
 //! Refuting the Fig. 2 false positive:
 //!
 //! ```
-//! use canary_smt::{check, SmtResult, SolverOptions, SolverStats, TermPool};
+//! use canary_smt::{check, SmtResult, SolverOptions, TermPool};
 //!
 //! let mut pool = TermPool::new();
 //! let theta = pool.bool_atom(0);
 //! let not_theta = pool.not(theta);
 //! let store_before_load = pool.order_lt(13, 6);
 //! let phi = pool.and([theta, not_theta, store_before_load]);
-//! let stats = SolverStats::default();
-//! assert_eq!(
-//!     check(&pool, phi, &SolverOptions::default(), &stats),
-//!     SmtResult::Unsat
-//! );
+//! assert_eq!(check(&pool, phi, &SolverOptions::default()), SmtResult::Unsat);
 //! ```
 
 #![warn(missing_docs)]
@@ -57,8 +53,7 @@ pub use simplify::{obviously_false, obviously_true};
 pub use solver::{
     check, check_all, check_all_grouped, check_all_recorded, check_counted, check_witness,
     check_witness_model, Dispatch, GroupedOutcome, QueryCache, QueryOutcome, QueryStats, SmtResult,
-    SolverOptions, SolverStats, SolverStrategy, WitnessModel, WorkerLoad, DEFAULT_CUBE_BUDGET,
-    DEFAULT_SHARDS,
+    SolverOptions, SolverStrategy, WitnessModel, WorkerLoad, DEFAULT_SHARDS,
 };
 pub use scratch::{ScratchLog, ScratchPool, TermRemap};
 pub use term::{AtomSet, EventId, Node, TermBuild, TermId, TermPool};

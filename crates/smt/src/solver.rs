@@ -16,16 +16,17 @@
 //! On top of these sits the *query-family* back-end
 //! ([`check_all_grouped`], [`SolverStrategy::Incremental`]): related
 //! queries (same checker, same source) are solved on one persistent
-//! [`SatSolver`] — the shared conjunct prefix is encoded once, each
-//! member's delta conjuncts are activated via assumption literals, and
-//! learned clauses plus theory lemmas stay alive across the family.
-//! Refuted members leave behind an UNSAT-core subsumption entry in a
+//! [`SatSolver`] — each conjunct is encoded once behind an activation
+//! literal, each member becomes one assumption call, and learned
+//! clauses plus theory lemmas stay alive across the family. Refuted
+//! members leave behind an UNSAT-core subsumption entry in a
 //! [`QueryCache`], and hash-consed duplicate queries are answered from
 //! a result memo, so whole queries are discharged without touching the
 //! CDCL core at all.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::cnf::{encode, encode_gated, Encoding};
@@ -56,18 +57,16 @@ impl SmtResult {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SolverStrategy {
     /// One fresh CNF encoding and CDCL solver per query. Kept as the
-    /// ablation baseline and as the reference semantics the
-    /// equivalence suite compares against.
+    /// reference semantics the equivalence suites compare against.
     Fresh,
-    /// Query-family solving: one persistent solver per family with the
-    /// shared conjunct prefix asserted once, per-member delta conjuncts
-    /// activated through assumption literals, UNSAT-core subsumption,
-    /// and hash-consed result memoization.
+    /// Query-family solving (the default): one persistent solver per
+    /// family with every conjunct behind an activation literal,
+    /// UNSAT-core subsumption, and hash-consed result memoization.
     Incremental,
 }
 
 impl SolverStrategy {
-    /// Parses a CLI / env spelling of a strategy.
+    /// Parses a CLI spelling of a strategy.
     pub fn parse(s: &str) -> Option<SolverStrategy> {
         match s {
             "fresh" => Some(SolverStrategy::Fresh),
@@ -83,68 +82,34 @@ impl SolverStrategy {
             SolverStrategy::Incremental => "incremental",
         }
     }
-
-    /// The default strategy, overridable via `CANARY_SOLVER_STRATEGY`
-    /// (the same pattern `CANARY_TEST_THREADS` uses for the thread
-    /// count, so CI can ablate without touching every invocation).
-    pub fn from_env() -> SolverStrategy {
-        match std::env::var("CANARY_SOLVER_STRATEGY") {
-            Ok(v) => SolverStrategy::parse(&v).unwrap_or(SolverStrategy::Incremental),
-            Err(_) => SolverStrategy::Incremental,
-        }
-    }
 }
 
 /// How [`check_all_grouped`] schedules query families across worker
-/// threads.
+/// threads. There is one scheduler; the type remains so that
+/// configurations naming it keep building.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Dispatch {
-    /// Fixed batching (the ablation baseline): families are split into
-    /// `num_threads` contiguous chunks, one sweep per worker, with a
-    /// single frozen cache snapshot and one merge barrier for the whole
-    /// batch. A worker that drew a cheap chunk idles while the others
-    /// finish.
-    Static,
-    /// Sharded work stealing (the default): families are sharded by
-    /// group key, workers drain their home shard and then steal whole
-    /// families from other shards in a deterministic scan order; the
-    /// cache snapshot rotates at shard-epoch boundaries that depend
-    /// only on the family list and the shard count — never on worker
-    /// timing — so outcomes stay byte-identical for every thread count.
+    /// Families are solved in epochs of `2 × shards` families in family
+    /// order; the workers of an epoch claim whole families from one
+    /// shared cursor. The cache snapshot rotates at epoch boundaries,
+    /// which depend only on the family list and the shard count —
+    /// never on worker timing — so outcomes stay byte-identical for
+    /// every thread count.
     WorkSteal,
 }
 
 impl Dispatch {
-    /// Parses a CLI / env spelling of a dispatcher.
-    pub fn parse(s: &str) -> Option<Dispatch> {
-        match s {
-            "static" => Some(Dispatch::Static),
-            "worksteal" => Some(Dispatch::WorkSteal),
-            _ => None,
-        }
-    }
-
-    /// The canonical CLI spelling.
+    /// The canonical spelling.
     pub fn as_str(self) -> &'static str {
         match self {
-            Dispatch::Static => "static",
             Dispatch::WorkSteal => "worksteal",
-        }
-    }
-
-    /// The default dispatcher, overridable via `CANARY_DISPATCH` (the
-    /// same env-ablation pattern as `CANARY_SOLVER_STRATEGY`).
-    pub fn from_env() -> Dispatch {
-        match std::env::var("CANARY_DISPATCH") {
-            Ok(v) => Dispatch::parse(&v).unwrap_or(Dispatch::WorkSteal),
-            Err(_) => Dispatch::WorkSteal,
         }
     }
 }
 
-/// Shard count the work-stealing dispatcher uses when
+/// Shard count that sizes dispatcher epochs when
 /// [`SolverOptions::shards`] is 0 (auto). Deliberately independent of
-/// the worker thread count: shard-epoch boundaries (and therefore
+/// the worker thread count: epoch boundaries (and therefore
 /// cache-snapshot visibility) must be identical for every `--threads`
 /// value.
 pub const DEFAULT_SHARDS: usize = 8;
@@ -153,32 +118,24 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// `shards × EPOCH_FAMILIES_PER_SHARD` families in family order.
 const EPOCH_FAMILIES_PER_SHARD: usize = 2;
 
-/// Default conflict budget per family member before a
-/// `cube_split`-armed run escalates to cube-and-conquer.
-pub const DEFAULT_CUBE_BUDGET: u64 = 256;
-
 /// Options controlling the solving strategy.
 #[derive(Clone, Debug)]
 pub struct SolverOptions {
     /// Apply the semi-decision prefilter before full solving.
     pub prefilter: bool,
-    /// Worker threads for [`check_all`]; 1 disables parallelism.
+    /// Worker threads for [`check_all`] and [`check_all_grouped`]; 1
+    /// disables parallelism.
     pub num_threads: usize,
-    /// Atoms to split on for cube-and-conquer (0 disables). Under the
-    /// incremental strategy this arms *hardness escalation*: a family
-    /// member that exceeds [`SolverOptions::cube_budget`] conflicts on
-    /// the persistent solver is re-solved by a deterministic cube
-    /// sweep (§5.2 opt. 3).
+    /// Atoms to split a freshly solved query on for cube-and-conquer
+    /// (§5.2 opt. 3; 0 disables). Takes effect on the fresh path with
+    /// more than one worker thread.
     pub cube_split: usize,
-    /// Conflict budget per family member before a `cube_split`-armed
-    /// run escalates. Ignored when `cube_split` is 0.
-    pub cube_budget: u64,
     /// Fresh-per-query or incremental query-family solving.
     pub strategy: SolverStrategy,
     /// How grouped batches are scheduled across worker threads.
     pub dispatch: Dispatch,
-    /// Shard count for the work-stealing dispatcher (0 = auto,
-    /// [`DEFAULT_SHARDS`]).
+    /// Sizes the dispatcher's epochs at `2 × shards` families (0 =
+    /// auto, [`DEFAULT_SHARDS`]).
     pub shards: usize,
 }
 
@@ -188,72 +145,20 @@ impl Default for SolverOptions {
             prefilter: true,
             num_threads: 1,
             cube_split: 0,
-            cube_budget: DEFAULT_CUBE_BUDGET,
-            strategy: SolverStrategy::from_env(),
-            dispatch: Dispatch::from_env(),
+            strategy: SolverStrategy::Incremental,
+            dispatch: Dispatch::WorkSteal,
             shards: 0,
         }
-    }
-}
-
-/// Aggregate solver statistics (for the scalability tables). The CDCL
-/// search counters (decisions, conflicts, propagations, restarts,
-/// learned clauses) accumulate across every query checked against this
-/// instance — the per-query breakdown is [`QueryStats`].
-#[derive(Debug, Default)]
-pub struct SolverStats {
-    /// Queries answered by the prefilter alone.
-    pub prefiltered: AtomicU64,
-    /// Full CDCL(T) queries run.
-    pub solved: AtomicU64,
-    /// Theory lemmas learned across all queries.
-    pub theory_lemmas: AtomicU64,
-    /// CDCL decisions across all queries.
-    pub decisions: AtomicU64,
-    /// CDCL conflicts across all queries.
-    pub conflicts: AtomicU64,
-    /// Unit propagations across all queries.
-    pub propagations: AtomicU64,
-    /// Restarts across all queries.
-    pub restarts: AtomicU64,
-    /// Learned (conflict + theory) clauses retained across all queries.
-    pub learned: AtomicU64,
-    /// Queries answered from the hash-consed result memo.
-    pub memo_hits: AtomicU64,
-    /// Queries refuted by UNSAT-core subsumption.
-    pub core_subsumed: AtomicU64,
-    /// Family members that blew the conflict budget and escalated to
-    /// cube-and-conquer (0 unless `cube_split` is armed).
-    pub cube_escalated: AtomicU64,
-}
-
-impl SolverStats {
-    /// Snapshot of (prefiltered, solved, theory lemmas).
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.prefiltered.load(Ordering::Relaxed),
-            self.solved.load(Ordering::Relaxed),
-            self.theory_lemmas.load(Ordering::Relaxed),
-        )
-    }
-
-    fn absorb(&self, q: &QueryStats) {
-        self.decisions.fetch_add(q.decisions, Ordering::Relaxed);
-        self.conflicts.fetch_add(q.conflicts, Ordering::Relaxed);
-        self.propagations.fetch_add(q.propagations, Ordering::Relaxed);
-        self.restarts.fetch_add(q.restarts, Ordering::Relaxed);
-        self.learned.fetch_add(q.learned, Ordering::Relaxed);
     }
 }
 
 /// Per-query solver work counters — the unit of attribution the
 /// observability layer reports (which query was hot, and why).
 ///
-/// For the default strategy (no cube-and-conquer) the counters are
-/// fully deterministic: the CDCL core explores the same tree for the
-/// same clauses, regardless of how many *other* queries solve
-/// concurrently. Under cube-and-conquer the early-exit race makes the
-/// counts best-effort.
+/// Without cube-and-conquer the counters are fully deterministic: the
+/// CDCL core explores the same tree for the same clauses, regardless
+/// of how many *other* queries solve concurrently. Under
+/// cube-and-conquer the early-exit race makes the counts best-effort.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// The query was answered by the semi-decision prefilter alone.
@@ -284,51 +189,98 @@ impl QueryStats {
         self.learned += other.learned;
         self.theory_lemmas += other.theory_lemmas;
     }
+
+    /// Adds the CDCL work `sat` did since `before` (and the learned
+    /// clauses it gained since `learnt_before`).
+    fn add_sat_work(&mut self, sat: &SatSolver, before: SatStats, learnt_before: u64) {
+        self.decisions += sat.stats.decisions - before.decisions;
+        self.conflicts += sat.stats.conflicts - before.conflicts;
+        self.propagations += sat.stats.propagations - before.propagations;
+        self.restarts += sat.stats.restarts - before.restarts;
+        self.learned += sat.num_learnt() as u64 - learnt_before;
+    }
+}
+
+/// The lazy CDCL(T) loop shared by every solving path: solve under
+/// `assumptions`, check the model's oriented order atoms (only those
+/// in `scope`, when given) against the order theory, and block each
+/// cyclic orientation with a lemma until the model is consistent.
+/// Returns the consistent model, or `None` when the clause set is
+/// unsatisfiable under the assumptions. Lemmas are counted into
+/// `lemmas`; they are theory-valid, so they stay sound for every later
+/// call on the same solver.
+pub(crate) fn solve_modulo_orders(
+    sat: &mut SatSolver,
+    enc: &Encoding,
+    assumptions: &[Lit],
+    scope: Option<&HashSet<Var>>,
+    lemmas: &mut u64,
+) -> Option<Vec<bool>> {
+    loop {
+        let model = match sat.solve_with_assumptions(assumptions) {
+            SatResult::Unsat => return None,
+            SatResult::Sat(model) => model,
+        };
+        let edges: Vec<OrderEdge> = enc
+            .oriented_edges(&model)
+            .into_iter()
+            .filter(|(_, _, var)| scope.is_none_or(|s| s.contains(var)))
+            .map(|(from, to, var)| OrderEdge {
+                from,
+                to,
+                atom: var.index(),
+            })
+            .collect();
+        match check_orders(&edges) {
+            TheoryResult::Consistent => return Some(model),
+            TheoryResult::Conflict(vars) => {
+                *lemmas += 1;
+                // Block this orientation of the cycle.
+                let clause: Vec<Lit> = vars
+                    .iter()
+                    .map(|&vi| Lit::new(Var(vi as u32), !model[vi]))
+                    .collect();
+                if !sat.add_clause(&clause) {
+                    return None;
+                }
+            }
+        }
+    }
 }
 
 /// Decides one term with the CDCL(T) loop.
-pub fn check(pool: &TermPool, t: TermId, opts: &SolverOptions, stats: &SolverStats) -> SmtResult {
-    check_counted(pool, t, opts, stats).0
+pub fn check(pool: &TermPool, t: TermId, opts: &SolverOptions) -> SmtResult {
+    check_counted(pool, t, opts).0
 }
 
 /// Like [`check`], additionally returning the query's own work
-/// counters (also accumulated into `stats`).
-pub fn check_counted(
-    pool: &TermPool,
-    t: TermId,
-    opts: &SolverOptions,
-    stats: &SolverStats,
-) -> (SmtResult, QueryStats) {
+/// counters.
+pub fn check_counted(pool: &TermPool, t: TermId, opts: &SolverOptions) -> (SmtResult, QueryStats) {
     let mut q = QueryStats::default();
     if opts.prefilter {
         if t == pool.tt() {
-            stats.prefiltered.fetch_add(1, Ordering::Relaxed);
             q.prefiltered = true;
             return (SmtResult::Sat, q);
         }
         if obviously_false(pool, t) {
-            stats.prefiltered.fetch_add(1, Ordering::Relaxed);
             q.prefiltered = true;
             return (SmtResult::Unsat, q);
         }
     }
-    stats.solved.fetch_add(1, Ordering::Relaxed);
     let res = if opts.cube_split > 0 && opts.num_threads > 1 {
-        cube_and_conquer(pool, t, opts, stats, &mut q)
+        cube_and_conquer(pool, t, opts, &mut q)
     } else {
-        check_with_assumptions(pool, t, &[], stats, &mut q)
+        check_with_assumptions(pool, t, &[], &mut q)
     };
-    stats.absorb(&q);
     (res, q)
 }
 
-/// The core lazy CDCL(T) loop, optionally under cube assumptions given
-/// as (bool atom index, value) pairs.
+/// One fresh encoding of `t` through the CDCL(T) loop, optionally
+/// under cube assumptions given as (bool atom index, value) pairs.
 fn check_with_assumptions(
     pool: &TermPool,
     t: TermId,
     cube: &[(u32, bool)],
-    stats: &SolverStats,
     q: &mut QueryStats,
 ) -> SmtResult {
     let mut sat = SatSolver::new();
@@ -338,46 +290,13 @@ fn check_with_assumptions(
         .iter()
         .filter_map(|&(atom, val)| enc.bool_vars.get(&atom).map(|&v| Lit::new(v, val)))
         .collect();
-    let result = loop {
-        match sat.solve_with_assumptions(&assumptions) {
-            SatResult::Unsat => break SmtResult::Unsat,
-            SatResult::Sat(model) => {
-                let oriented = enc.oriented_edges(&model);
-                let edges: Vec<OrderEdge> = oriented
-                    .iter()
-                    .map(|&(from, to, var)| OrderEdge {
-                        from,
-                        to,
-                        atom: var.index(),
-                    })
-                    .collect();
-                match check_orders(&edges) {
-                    TheoryResult::Consistent => break SmtResult::Sat,
-                    TheoryResult::Conflict(vars) => {
-                        stats.theory_lemmas.fetch_add(1, Ordering::Relaxed);
-                        q.theory_lemmas += 1;
-                        // Block this orientation of the cycle.
-                        let clause: Vec<Lit> = vars
-                            .iter()
-                            .map(|&vi| {
-                                let v = Var(vi as u32);
-                                Lit::new(v, !model[vi])
-                            })
-                            .collect();
-                        if !sat.add_clause(&clause) {
-                            break SmtResult::Unsat;
-                        }
-                    }
-                }
-            }
-        }
-    };
-    q.decisions += sat.stats.decisions;
-    q.conflicts += sat.stats.conflicts;
-    q.propagations += sat.stats.propagations;
-    q.restarts += sat.stats.restarts;
-    q.learned += sat.num_learnt() as u64;
-    result
+    let model = solve_modulo_orders(&mut sat, &enc, &assumptions, None, &mut q.theory_lemmas);
+    q.add_sat_work(&sat, SatStats::default(), 0);
+    if model.is_some() {
+        SmtResult::Sat
+    } else {
+        SmtResult::Unsat
+    }
 }
 
 /// Cube-and-conquer (§5.2): split on the most frequent Boolean atoms
@@ -386,22 +305,21 @@ fn cube_and_conquer(
     pool: &TermPool,
     t: TermId,
     opts: &SolverOptions,
-    stats: &SolverStats,
     q: &mut QueryStats,
 ) -> SmtResult {
     let atoms = pick_split_atoms(pool, t, opts.cube_split);
     if atoms.is_empty() {
-        return check_with_assumptions(pool, t, &[], stats, q);
+        return check_with_assumptions(pool, t, &[], q);
     }
     let n_cubes = 1usize << atoms.len();
     let found_sat = AtomicBool::new(false);
-    let next = AtomicU64::new(0);
-    let agg = std::sync::Mutex::new(QueryStats::default());
+    let next = AtomicUsize::new(0);
+    let agg = Mutex::new(QueryStats::default());
     let workers = opts.num_threads.min(n_cubes).max(1);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed) as usize;
+                let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n_cubes || found_sat.load(Ordering::Relaxed) {
                     return;
                 }
@@ -411,7 +329,7 @@ fn cube_and_conquer(
                     .map(|(bit, &a)| (a, (i >> bit) & 1 == 1))
                     .collect();
                 let mut local = QueryStats::default();
-                let res = check_with_assumptions(pool, t, &cube, stats, &mut local);
+                let res = check_with_assumptions(pool, t, &cube, &mut local);
                 agg.lock().expect("no poisoning").merge(&local);
                 if res == SmtResult::Sat {
                     found_sat.store(true, Ordering::Relaxed);
@@ -430,9 +348,9 @@ fn cube_and_conquer(
 
 /// Picks up to `k` Boolean atoms by occurrence count for splitting.
 fn pick_split_atoms(pool: &TermPool, t: TermId, k: usize) -> Vec<u32> {
-    let mut counts: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
+    let mut counts: HashMap<u32, usize> = HashMap::new();
     let mut stack = vec![t];
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
     while let Some(x) = stack.pop() {
         if !seen.insert(x) {
             continue;
@@ -460,7 +378,7 @@ pub struct WitnessModel {
     /// (a topological order of the model's oriented order atoms).
     /// Events that appear in no order atom are omitted — their
     /// position is unconstrained.
-    pub events: Vec<crate::term::EventId>,
+    pub events: Vec<EventId>,
     /// The model's Boolean-atom assignment as sorted
     /// `(atom index, value)` pairs.
     pub bools: Vec<(u32, bool)>,
@@ -470,7 +388,7 @@ pub struct WitnessModel {
     /// topological order in [`WitnessModel::events`] was built from —
     /// report provenance records it as the SMT justification of the
     /// witness interleaving.
-    pub orders: Vec<(crate::term::EventId, crate::term::EventId)>,
+    pub orders: Vec<(EventId, EventId)>,
 }
 
 /// A satisfying witness: the events of the query arranged in one
@@ -479,74 +397,32 @@ pub struct WitnessModel {
 ///
 /// Returns `None` when the query is unsatisfiable. Events that appear
 /// in no order atom are omitted (their position is unconstrained).
-pub fn check_witness(
-    pool: &TermPool,
-    t: TermId,
-    stats: &SolverStats,
-) -> Option<Vec<crate::term::EventId>> {
-    check_witness_model(pool, t, stats).map(|w| w.events)
+pub fn check_witness(pool: &TermPool, t: TermId) -> Option<Vec<EventId>> {
+    check_witness_model(pool, t).map(|w| w.events)
 }
 
 /// Like [`check_witness`], additionally returning the Boolean-atom
 /// assignment of the model — everything a concrete interpreter needs
 /// to replay the witness (schedule + branch valuation).
-pub fn check_witness_model(
-    pool: &TermPool,
-    t: TermId,
-    stats: &SolverStats,
-) -> Option<WitnessModel> {
+pub fn check_witness_model(pool: &TermPool, t: TermId) -> Option<WitnessModel> {
     let mut sat = SatSolver::new();
     let mut enc = Encoding::default();
     encode(pool, t, &mut sat, &mut enc);
-    loop {
-        match sat.solve() {
-            SatResult::Unsat => return None,
-            SatResult::Sat(model) => {
-                let oriented = enc.oriented_edges(&model);
-                let edges: Vec<OrderEdge> = oriented
-                    .iter()
-                    .map(|&(from, to, var)| OrderEdge {
-                        from,
-                        to,
-                        atom: var.index(),
-                    })
-                    .collect();
-                match check_orders(&edges) {
-                    TheoryResult::Consistent => {
-                        let mut orders: Vec<(u32, u32)> =
-                            oriented.iter().map(|&(a, b, _)| (a, b)).collect();
-                        orders.sort_unstable();
-                        orders.dedup();
-                        return Some(WitnessModel {
-                            events: topological_events(&oriented),
-                            bools: enc.bool_assignment(&model),
-                            orders,
-                        });
-                    }
-                    TheoryResult::Conflict(vars) => {
-                        stats.theory_lemmas.fetch_add(1, Ordering::Relaxed);
-                        let clause: Vec<Lit> = vars
-                            .iter()
-                            .map(|&vi| {
-                                let v = Var(vi as u32);
-                                Lit::new(v, !model[vi])
-                            })
-                            .collect();
-                        if !sat.add_clause(&clause) {
-                            return None;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let model = solve_modulo_orders(&mut sat, &enc, &[], None, &mut 0)?;
+    let oriented = enc.oriented_edges(&model);
+    let mut orders: Vec<(EventId, EventId)> = oriented.iter().map(|&(a, b, _)| (a, b)).collect();
+    orders.sort_unstable();
+    orders.dedup();
+    Some(WitnessModel {
+        events: topological_events(&oriented),
+        bools: enc.bool_assignment(&model),
+        orders,
+    })
 }
 
 /// Topologically sorts the events of an acyclic oriented edge set
 /// (Kahn's algorithm; ties broken by event id for determinism).
-fn topological_events(
-    oriented: &[(crate::term::EventId, crate::term::EventId, Var)],
-) -> Vec<crate::term::EventId> {
+fn topological_events(oriented: &[(EventId, EventId, Var)]) -> Vec<EventId> {
     use std::collections::{BTreeMap, BTreeSet};
     let mut succs: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
     let mut indeg: BTreeMap<u32, usize> = BTreeMap::new();
@@ -600,9 +476,6 @@ pub struct QueryOutcome {
     /// Solved on a persistent family solver via assumption literals
     /// (as opposed to the fresh-per-query path or a cache hit).
     pub incremental: bool,
-    /// Blew the per-member conflict budget on the family solver and was
-    /// re-solved by the deterministic cube-and-conquer sweep.
-    pub cubed: bool,
     /// On refutation under the incremental strategy: the refuted
     /// conjunct set (the assumption core mapped back to named
     /// conjuncts, or the subsuming cached core). Strategy-dependent —
@@ -612,16 +485,54 @@ pub struct QueryOutcome {
     pub core: Option<Vec<TermId>>,
 }
 
+/// Maps `f` over `items` on up to `workers` scoped threads that claim
+/// items from one shared cursor, returning the results in item order
+/// and the number of items each worker claimed.
+fn parallel_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> (Vec<R>, Vec<u64>) {
+    let workers = workers.min(items.len()).max(1);
+    if workers == 1 {
+        return (items.iter().map(f).collect(), vec![items.len() as u64]);
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let claimed = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut claimed = 0u64;
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            return claimed;
+                        }
+                        claimed += 1;
+                        let r = f(&items[i]);
+                        *slots[i].lock().expect("no poisoning: workers do not panic") = Some(r);
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker threads do not panic"))
+            .collect()
+    });
+    let results = slots
+        .into_iter()
+        .map(|m| m.into_inner().expect("scope joined").expect("all items claimed"))
+        .collect();
+    (results, claimed)
+}
+
 /// Solves many independent queries, optionally in parallel (§5.2:
 /// "the constraints on different source-sink paths are independent of
 /// each other, which gives us the ability to leverage parallelization").
-pub fn check_all(
-    pool: &TermPool,
-    queries: &[TermId],
-    opts: &SolverOptions,
-    stats: &SolverStats,
-) -> Vec<SmtResult> {
-    check_all_recorded(pool, queries, opts, stats)
+pub fn check_all(pool: &TermPool, queries: &[TermId], opts: &SolverOptions) -> Vec<SmtResult> {
+    check_all_recorded(pool, queries, opts)
         .into_iter()
         .map(|o| o.result)
         .collect()
@@ -633,49 +544,30 @@ pub fn check_all_recorded(
     pool: &TermPool,
     queries: &[TermId],
     opts: &SolverOptions,
-    stats: &SolverStats,
 ) -> Vec<QueryOutcome> {
     let solve_one = |q: TermId, o: &SolverOptions| -> QueryOutcome {
         let started = Instant::now();
-        let (result, qstats) = check_counted(pool, q, o, stats);
+        let (result, stats) = check_counted(pool, q, o);
         QueryOutcome {
             result,
-            stats: qstats,
+            stats,
             started,
             wall: started.elapsed(),
             memo_hit: false,
             core_subsumed: false,
             incremental: false,
-            cubed: false,
             core: None,
         }
     };
     if opts.num_threads <= 1 || queries.len() <= 1 {
+        // A lone query keeps every worker for its own cube split.
         return queries.iter().map(|&q| solve_one(q, opts)).collect();
     }
-    let next = AtomicU64::new(0);
-    let results: Vec<std::sync::Mutex<Option<QueryOutcome>>> =
-        queries.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..opts.num_threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                if i >= queries.len() {
-                    return;
-                }
-                let sequential = SolverOptions {
-                    num_threads: 1,
-                    ..opts.clone()
-                };
-                let r = solve_one(queries[i], &sequential);
-                *results[i].lock().expect("no poisoning: workers do not panic") = Some(r);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("scope joined").expect("all indices visited"))
-        .collect()
+    let sequential = SolverOptions {
+        num_threads: 1,
+        ..opts.clone()
+    };
+    parallel_map(queries, opts.num_threads, |&q| solve_one(q, &sequential)).0
 }
 
 /// Cross-query result cache for the incremental strategy: a verdict
@@ -685,7 +577,7 @@ pub fn check_all_recorded(
 /// Both parts are *semantically* deterministic: the memo value for a
 /// term is its theory satisfiability (independent of which family
 /// solved it first), and cores are appended in family-commit order at
-/// the batch barrier, so lookups never depend on scheduling.
+/// the epoch barrier, so lookups never depend on scheduling.
 #[derive(Debug, Default)]
 pub struct QueryCache {
     /// Hash-consed query term → verdict.
@@ -741,7 +633,7 @@ impl QueryCache {
     }
 
     /// Merges another cache into this one (used at the deterministic
-    /// per-batch barrier, in family-commit order).
+    /// epoch barrier, in family-commit order).
     pub fn merge(&mut self, other: QueryCache) {
         for (t, r) in other.memo {
             self.memoize(t, r);
@@ -807,10 +699,9 @@ pub struct GroupedOutcome {
     /// Learned clauses alive on family solvers at family end — the
     /// state the fresh strategy would have thrown away between queries.
     pub clauses_retained: u64,
-    /// Cache merge barriers executed: shard epochs under
-    /// [`Dispatch::WorkSteal`], 1 for the static dispatcher's single
-    /// batch barrier, 0 under [`SolverStrategy::Fresh`]. Depends only
-    /// on the family list and the shard count, never on worker timing.
+    /// Cache merge barriers executed (dispatcher epochs; 0 under
+    /// [`SolverStrategy::Fresh`]). Depends only on the family list and
+    /// the shard count, never on worker timing.
     pub epochs: u64,
     /// Per-worker load record. Timing-dependent — surfaced only through
     /// the volatile `canary_dispatch_*` metrics family and the stderr
@@ -824,23 +715,20 @@ pub struct GroupedOutcome {
 pub struct WorkerLoad {
     /// Families this worker solved.
     pub families: u64,
-    /// Of those, families claimed from a shard other than the worker's
-    /// home shard (always 0 under [`Dispatch::Static`]).
-    pub stolen: u64,
 }
 
-/// Persistent per-family solver state: one [`SatSolver`] carrying the
-/// shared conjunct prefix, the Tseitin encoding shared by all members,
-/// and the activation literal assigned to each distinct delta conjunct.
+/// Persistent per-family solver state: one [`SatSolver`] carrying every
+/// conjunct of the family behind its own activation literal, the
+/// Tseitin encoding shared by all members, and the order atoms each
+/// conjunct mentions.
 struct FamilySolver {
     sat: SatSolver,
     enc: Encoding,
     acts: HashMap<TermId, Lit>,
     /// Activation literal per shared-prefix conjunct, in prefix order.
-    /// Empty when the prefix is asserted outright (ungated). The
-    /// work-stealing dispatcher gates the prefix too, so assumption
-    /// cores name exactly the responsible conjuncts — shared or delta —
-    /// which leaves the smallest, most subsuming cores in the cache.
+    /// Gating the prefix too makes assumption cores name exactly the
+    /// responsible conjuncts — shared or delta — which leaves the
+    /// smallest, most subsuming cores in the cache.
     shared_acts: Vec<(TermId, Lit)>,
     /// Order atoms mentioned by the shared prefix.
     shared_orders: HashSet<(EventId, EventId)>,
@@ -849,20 +737,16 @@ struct FamilySolver {
 }
 
 impl FamilySolver {
-    fn new(pool: &TermPool, shared: &[TermId], gate_shared: bool) -> FamilySolver {
+    fn new(pool: &TermPool, shared: &[TermId]) -> FamilySolver {
         let mut sat = SatSolver::new();
         let mut enc = Encoding::default();
         let mut shared_orders = HashSet::new();
         let mut seen = HashSet::new();
-        let mut shared_acts = Vec::new();
+        let mut shared_acts = Vec::with_capacity(shared.len());
         for &c in shared {
-            if gate_shared {
-                let l = Lit::pos(sat.new_var());
-                encode_gated(pool, c, &mut sat, &mut enc, l);
-                shared_acts.push((c, l));
-            } else {
-                encode(pool, c, &mut sat, &mut enc);
-            }
+            let l = Lit::pos(sat.new_var());
+            encode_gated(pool, c, &mut sat, &mut enc, l);
+            shared_acts.push((c, l));
             collect_order_atoms(pool, c, &mut seen, &mut shared_orders);
         }
         FamilySolver {
@@ -917,20 +801,18 @@ struct FamilyOutput {
 /// Solves one query family on a persistent solver.
 ///
 /// The shared conjunct prefix (intersection of all members' conjunct
-/// sets) is asserted outright; each member then becomes one
-/// `solve_with_assumptions` call over the activation literals of its
-/// delta conjuncts. Learned clauses stay valid across members because
-/// the gating clauses are part of the clause set, and theory lemmas
-/// are globally valid (they block cyclic orientations). `snapshot` is
-/// the cache state at batch start — shared by every family in the
-/// batch so results cannot depend on family scheduling.
+/// sets) and each member's delta conjuncts are encoded once behind
+/// activation literals; each member then becomes one
+/// `solve_with_assumptions` call. Learned clauses stay valid across
+/// members because the gating clauses are part of the clause set, and
+/// theory lemmas are globally valid (they block cyclic orientations).
+/// `snapshot` is the cache state at epoch start — shared by every
+/// family in the epoch so results cannot depend on family scheduling.
 fn solve_family(
     pool: &TermPool,
     queries: &[TermId],
     opts: &SolverOptions,
-    stats: &SolverStats,
     snapshot: &QueryCache,
-    gate_shared: bool,
 ) -> FamilyOutput {
     let conjs: Vec<Vec<TermId>> = queries.iter().map(|&t| pool.conjuncts_of(t)).collect();
     let mut shared = conjs[0].clone();
@@ -956,20 +838,16 @@ fn solve_family(
         let mut memo_hit = false;
         let mut core_subsumed = false;
         let mut incremental = false;
-        let mut cubed = false;
         let mut core: Option<Vec<TermId>> = None;
         // The prefilter runs first in both strategies, so the
         // `prefiltered` counter is strategy-invariant.
         let result = if opts.prefilter && t == pool.tt() {
-            stats.prefiltered.fetch_add(1, Ordering::Relaxed);
             q.prefiltered = true;
             SmtResult::Sat
         } else if opts.prefilter && obviously_false(pool, t) {
-            stats.prefiltered.fetch_add(1, Ordering::Relaxed);
             q.prefiltered = true;
             SmtResult::Unsat
         } else if let Some(r) = snapshot.lookup(t).or_else(|| local.lookup(t)) {
-            stats.memo_hits.fetch_add(1, Ordering::Relaxed);
             memo_hit = true;
             r
         } else if let Some(cached) = snapshot
@@ -977,16 +855,14 @@ fn solve_family(
             .or_else(|| local.subsuming_core(&conjs[i]))
             .map(<[TermId]>::to_vec)
         {
-            stats.core_subsumed.fetch_add(1, Ordering::Relaxed);
             core_subsumed = true;
             core = Some(cached);
             local.memoize(t, SmtResult::Unsat);
             SmtResult::Unsat
         } else {
-            stats.solved.fetch_add(1, Ordering::Relaxed);
             incremental = true;
             let was_absent = fam.is_none();
-            let fam = fam.get_or_insert_with(|| FamilySolver::new(pool, &shared, gate_shared));
+            let fam = fam.get_or_insert_with(|| FamilySolver::new(pool, &shared));
             // The member that forced solver construction also pays for
             // encoding the shared prefix (as the fresh path would).
             let base = if was_absent {
@@ -994,11 +870,9 @@ fn solve_family(
             } else {
                 fam.sat.stats
             };
-            let (r, escalated, member_core) =
-                solve_member(pool, fam, t, &shared, &conjs[i], opts, stats, &mut q, &mut local, base);
-            cubed = escalated;
+            let (r, member_core) =
+                solve_member(pool, fam, &shared, &conjs[i], &mut q, &mut local, base);
             core = member_core;
-            stats.absorb(&q);
             local.memoize(t, r);
             r
         };
@@ -1010,7 +884,6 @@ fn solve_family(
             memo_hit,
             core_subsumed,
             incremental,
-            cubed,
             core,
         });
     }
@@ -1025,23 +898,19 @@ fn solve_family(
 }
 
 /// One member's CDCL(T) loop on the persistent family solver. On
-/// refutation, records the refuted conjunct set (shared prefix plus
-/// the assumption core's delta conjuncts) into `local` and returns it
-/// as the member's certificate. `base` is the solver-counter baseline
-/// this member's work is measured against.
-#[allow(clippy::too_many_arguments)]
+/// refutation, records the refuted conjunct set (the assumption core
+/// mapped back to conjuncts) into `local` and returns it as the
+/// member's certificate. `base` is the solver-counter baseline this
+/// member's work is measured against.
 fn solve_member(
     pool: &TermPool,
     fam: &mut FamilySolver,
-    t: TermId,
     shared: &[TermId],
     conj: &[TermId],
-    opts: &SolverOptions,
-    stats: &SolverStats,
     q: &mut QueryStats,
     local: &mut QueryCache,
     base: SatStats,
-) -> (SmtResult, bool, Option<Vec<TermId>>) {
+) -> (SmtResult, Option<Vec<TermId>>) {
     let deltas = sorted_diff(conj, shared);
     let mut assumptions = Vec::with_capacity(fam.shared_acts.len() + deltas.len());
     let mut by_lit: HashMap<Lit, TermId> =
@@ -1086,238 +955,81 @@ fn solve_member(
             }
         }
     }
-    let before = base;
     let learnt_before = fam.sat.num_learnt() as u64;
-    // Hardness budget (§5.2 opt. 3): with cube splitting armed, a
-    // member that burns through the conflict budget on the family
-    // solver escalates to a deterministic cube sweep *on the same
-    // solver* — the cubes are extra assumption literals over the
-    // member's own atoms, so the Tseitin encoding, the learnt clauses
-    // of the budgeted attempt, and every lemma learnt under one cube
-    // carry over to the next. Sequential sweep on purpose: a parallel
-    // sweep with an early Sat exit would make the per-query work
-    // counters depend on thread timing, breaking their
-    // thread-invariance contract (the metrics registry is compared
-    // byte-for-byte across `--threads` values).
-    let budget = if opts.cube_split > 0 {
-        opts.cube_budget.max(1)
+    let model = solve_modulo_orders(
+        &mut fam.sat,
+        &fam.enc,
+        &assumptions,
+        Some(&scope),
+        &mut q.theory_lemmas,
+    );
+    let result = if model.is_some() {
+        SmtResult::Sat
     } else {
-        u64::MAX
-    };
-    let mut cubed = false;
-    let mut split: Vec<Var> = Vec::new();
-    let mut cube_idx = 0usize;
-    let result = loop {
-        let solved = if cubed {
-            let mut under_cube = assumptions.clone();
-            under_cube.extend(
-                split
-                    .iter()
-                    .enumerate()
-                    .map(|(bit, &v)| Lit::new(v, (cube_idx >> bit) & 1 == 1)),
-            );
-            Some(fam.sat.solve_with_assumptions(&under_cube))
-        } else {
-            let spent = fam.sat.stats.conflicts - before.conflicts;
-            if budget == u64::MAX {
-                Some(fam.sat.solve_with_assumptions(&assumptions))
-            } else {
-                match budget.checked_sub(spent).filter(|&r| r > 0) {
-                    Some(remaining) => {
-                        fam.sat.solve_with_assumptions_limited(&assumptions, remaining)
-                    }
-                    None => None,
-                }
-            }
-        };
-        match solved {
-            None => {
-                stats.cube_escalated.fetch_add(1, Ordering::Relaxed);
-                cubed = true;
-                split = member_split_vars(pool, t, opts.cube_split, fam, &deltas);
-                cube_idx = 0;
-                if std::env::var_os("CANARY_SMT_DEBUG").is_some() {
-                    eprintln!(
-                        "[smt-debug] escalate: deltas={} split={} cubes={}",
-                        deltas.len(),
-                        split.len(),
-                        1usize << split.len(),
-                    );
-                }
-            }
-            Some(SatResult::Unsat) if cubed && cube_idx + 1 < (1usize << split.len()) => {
-                cube_idx += 1;
-            }
-            Some(SatResult::Unsat) => break SmtResult::Unsat,
-            Some(SatResult::Sat(model)) => {
-                let oriented = fam.enc.oriented_edges(&model);
-                let edges: Vec<OrderEdge> = oriented
-                    .iter()
-                    .filter(|&&(_, _, var)| scope.contains(&var))
-                    .map(|&(from, to, var)| OrderEdge {
-                        from,
-                        to,
-                        atom: var.index(),
-                    })
-                    .collect();
-                match check_orders(&edges) {
-                    TheoryResult::Consistent => break SmtResult::Sat,
-                    TheoryResult::Conflict(vars) => {
-                        stats.theory_lemmas.fetch_add(1, Ordering::Relaxed);
-                        q.theory_lemmas += 1;
-                        // Block this orientation of the cycle. The
-                        // lemma is theory-valid, so it stays sound for
-                        // every later member of the family.
-                        let clause: Vec<Lit> = vars
-                            .iter()
-                            .map(|&vi| {
-                                let v = Var(vi as u32);
-                                Lit::new(v, !model[vi])
-                            })
-                            .collect();
-                        if !fam.sat.add_clause(&clause) {
-                            break SmtResult::Unsat;
-                        }
-                    }
-                }
-            }
-        }
+        SmtResult::Unsat
     };
     if std::env::var_os("CANARY_SMT_DEBUG").is_some() {
         eprintln!(
             "[smt-debug] member: vars={} assumptions={} decisions=+{} props=+{} lemmas={} result={result:?}",
             fam.sat.num_vars(),
             assumptions.len(),
-            fam.sat.stats.decisions - before.decisions,
-            fam.sat.stats.propagations - before.propagations,
+            fam.sat.stats.decisions - base.decisions,
+            fam.sat.stats.propagations - base.propagations,
             q.theory_lemmas,
         );
     }
-    q.decisions += fam.sat.stats.decisions - before.decisions;
-    q.conflicts += fam.sat.stats.conflicts - before.conflicts;
-    q.propagations += fam.sat.stats.propagations - before.propagations;
-    q.restarts += fam.sat.stats.restarts - before.restarts;
-    q.learned += fam.sat.num_learnt() as u64 - learnt_before;
-    let mut core = None;
-    if result == SmtResult::Unsat {
-        let refuted = if cubed {
-            // Refuted by the cube sweep: each per-cube assumption core
-            // names cube literals, not just conjunct activations, so no
-            // minimal conjunct core can be certified — record the full
-            // conjunct set (sound: any superset is unsat too).
-            conj.to_vec()
-        } else if fam.sat.is_ok() {
-            if fam.shared_acts.is_empty() {
-                // Ungated shared prefix: it is asserted outright, so it
-                // is implicitly part of every refutation — record the
-                // prefix plus the deltas in the assumption core.
-                let mut set: Vec<TermId> = shared.to_vec();
-                for l in fam.sat.assumption_core() {
-                    if let Some(&d) = by_lit.get(l) {
-                        set.push(d);
-                    }
-                }
-                set.sort_unstable();
-                set.dedup();
-                set
-            } else {
-                // Gated shared prefix: the assumption core names
-                // exactly the responsible conjuncts, shared or delta —
-                // the smallest, most subsuming core the solver can
-                // certify.
-                let mut set: Vec<TermId> = fam
-                    .sat
-                    .assumption_core()
-                    .iter()
-                    .filter_map(|l| by_lit.get(l).copied())
-                    .collect();
-                set.sort_unstable();
-                set.dedup();
-                if set.is_empty() {
-                    // Conflict independent of every activation literal;
-                    // claim no more than this member's own formula.
-                    conj.to_vec()
-                } else {
-                    set
-                }
-            }
-        } else if fam.shared_acts.is_empty() {
-            // The clause set alone went unsat: definitions are
-            // conservative, gating clauses are satisfiable by leaving
-            // activations off, and lemmas are theory-valid — so the
-            // shared prefix by itself is refuted.
-            shared.to_vec()
-        } else {
-            // Fully gated encoding refuted at clause level: still a
-            // sound refutation of this member's formula, but nothing
-            // smaller can be certified.
-            conj.to_vec()
-        };
-        local.insert_core(refuted.clone());
-        core = Some(refuted);
+    q.add_sat_work(&fam.sat, base, learnt_before);
+    if result == SmtResult::Sat {
+        return (result, None);
     }
-    (result, cubed, core)
-}
-
-/// Deterministic split variables for one member's cube escalation: the
-/// member's most frequent Boolean atoms first (mirroring
-/// [`pick_split_atoms`]), topped up with its delta order atoms, all
-/// resolved to family-solver variables so the cubes can ride the
-/// persistent encoding as assumption literals. Inter-thread queries
-/// are dominated by order atoms, so the top-up is what usually feeds
-/// the sweep. At most `k` variables (≤ `2^k` cubes). An empty result
-/// degenerates into one unbudgeted re-solve on the family solver.
-fn member_split_vars(
-    pool: &TermPool,
-    t: TermId,
-    k: usize,
-    fam: &FamilySolver,
-    deltas: &[TermId],
-) -> Vec<Var> {
-    let mut vars: Vec<Var> = pick_split_atoms(pool, t, k)
-        .into_iter()
-        .filter_map(|a| fam.enc.bool_vars.get(&a).copied())
-        .collect();
-    if vars.len() < k {
-        let mut orders: Vec<Var> = deltas
+    // The assumption core names exactly the responsible conjuncts,
+    // shared or delta — the smallest, most subsuming core the solver
+    // can certify. A refutation without one (the clause set alone went
+    // unsat) certifies nothing smaller than this member's own formula.
+    let mut refuted: Vec<TermId> = if fam.sat.is_ok() {
+        fam.sat
+            .assumption_core()
             .iter()
-            .flat_map(|d| fam.delta_orders[d].iter())
-            .filter_map(|p| fam.enc.order_vars.get(p).copied())
-            .collect();
-        orders.sort_unstable();
-        orders.dedup();
-        for v in orders {
-            if vars.len() >= k {
-                break;
-            }
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
+            .filter_map(|l| by_lit.get(l).copied())
+            .collect()
+    } else {
+        Vec::new()
+    };
+    refuted.sort_unstable();
+    refuted.dedup();
+    if refuted.is_empty() {
+        refuted = conj.to_vec();
     }
-    vars
+    local.insert_core(refuted.clone());
+    (result, Some(refuted))
 }
 
 /// Like [`check_all_recorded`], but queries carry a *group key*
 /// (`groups[i]`, e.g. the candidate's source label): maximal contiguous
 /// runs of equal keys form query families, solved per
-/// `opts.strategy`. Families are formed in candidate order, solved
-/// independently (possibly in parallel), and committed in family
-/// order; `cache` is read as a frozen snapshot during the batch and
-/// the families' additions are merged back in family order afterwards
-/// — so outcomes are byte-identical for every `num_threads`.
+/// `opts.strategy`.
+///
+/// Under the incremental strategy families are processed in *epochs*:
+/// contiguous runs of `2 × shards` families in family order. The
+/// workers of an epoch claim whole families from one shared cursor —
+/// whole families, so the persistent solver's reuse survives — against
+/// a cache snapshot frozen for the epoch; the epoch's additions merge
+/// back into `cache` in family order at the epoch barrier, so later
+/// epochs reuse earlier epochs' cores and verdicts. Epoch boundaries
+/// depend only on the family list and the shard count — never on the
+/// worker count — which keeps outcomes byte-identical for every
+/// `num_threads`.
 pub fn check_all_grouped(
     pool: &TermPool,
     queries: &[TermId],
     groups: &[u64],
     opts: &SolverOptions,
-    stats: &SolverStats,
     cache: &mut QueryCache,
 ) -> GroupedOutcome {
     assert_eq!(queries.len(), groups.len(), "one group key per query");
     if opts.strategy == SolverStrategy::Fresh {
         return GroupedOutcome {
-            outcomes: check_all_recorded(pool, queries, opts, stats),
+            outcomes: check_all_recorded(pool, queries, opts),
             families: 0,
             clauses_retained: 0,
             epochs: 0,
@@ -1332,186 +1044,37 @@ pub fn check_all_grouped(
             start = i;
         }
     }
-    match opts.dispatch {
-        Dispatch::Static => run_static(pool, queries, &fams, opts, stats, cache),
-        Dispatch::WorkSteal => run_worksteal(pool, queries, groups, &fams, opts, stats, cache),
-    }
-}
-
-/// The fixed-batch dispatcher: families split into `num_threads`
-/// contiguous chunks, one sweep per worker, a single frozen snapshot
-/// and one merge barrier for the whole batch. Kept as the ablation
-/// baseline the work-stealing dispatcher is benchmarked against.
-fn run_static(
-    pool: &TermPool,
-    queries: &[TermId],
-    fams: &[(usize, usize)],
-    opts: &SolverOptions,
-    stats: &SolverStats,
-    cache: &mut QueryCache,
-) -> GroupedOutcome {
-    let n = fams.len();
-    let workers = opts.num_threads.clamp(1, n.max(1));
-    let mut worker_loads = vec![WorkerLoad::default(); workers];
-    let outputs: Vec<FamilyOutput> = {
-        let snapshot: &QueryCache = cache;
-        let run =
-            |&(s, e): &(usize, usize)| solve_family(pool, &queries[s..e], opts, stats, snapshot, false);
-        if workers <= 1 || n <= 1 {
-            worker_loads[0].families = n as u64;
-            fams.iter().map(run).collect()
-        } else {
-            let slots: Vec<std::sync::Mutex<Option<FamilyOutput>>> =
-                fams.iter().map(|_| std::sync::Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for (w, load) in worker_loads.iter_mut().enumerate() {
-                    let chunk = (w * n / workers)..((w + 1) * n / workers);
-                    load.families = chunk.len() as u64;
-                    let (slots, run) = (&slots, &run);
-                    scope.spawn(move || {
-                        for i in chunk {
-                            *slots[i].lock().expect("no poisoning: workers do not panic") =
-                                Some(run(&fams[i]));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|m| m.into_inner().expect("scope joined").expect("all chunks swept"))
-                .collect()
-        }
-    };
-    let mut outcomes = Vec::with_capacity(queries.len());
-    let mut clauses_retained = 0;
-    for out in outputs {
-        outcomes.extend(out.outcomes);
-        clauses_retained += out.clauses_retained;
-        cache.merge(out.additions);
-    }
-    GroupedOutcome {
-        outcomes,
-        families: n as u64,
-        clauses_retained,
-        epochs: 1,
-        worker_loads,
-    }
-}
-
-/// The sharded work-stealing dispatcher (the default). Families shard
-/// by group key (`key % shards`); each worker drains its home shard
-/// (`worker % shards`) and then steals whole families from the other
-/// shards in a deterministic scan order — whole families, so the
-/// persistent solver's shared-prefix reuse survives the steal.
-/// Families are processed in *epochs* (contiguous runs of
-/// `shards × EPOCH_FAMILIES_PER_SHARD` families in family order): the
-/// cache snapshot is frozen per epoch and each epoch's additions merge
-/// back in family order at the epoch barrier, so later epochs reuse
-/// earlier epochs' cores and verdicts. Epoch boundaries depend only on
-/// the family list and the shard count — never on the worker count —
-/// which keeps outcomes byte-identical for every `num_threads`.
-fn run_worksteal(
-    pool: &TermPool,
-    queries: &[TermId],
-    groups: &[u64],
-    fams: &[(usize, usize)],
-    opts: &SolverOptions,
-    stats: &SolverStats,
-    cache: &mut QueryCache,
-) -> GroupedOutcome {
     let shards = if opts.shards > 0 {
         opts.shards
     } else {
         DEFAULT_SHARDS
     };
-    let epoch_len = (shards * EPOCH_FAMILIES_PER_SHARD).max(1);
-    let n = fams.len();
     let workers = opts.num_threads.max(1);
     let mut worker_loads = vec![WorkerLoad::default(); workers];
     let mut outcomes = Vec::with_capacity(queries.len());
     let mut clauses_retained = 0u64;
     let mut epochs = 0u64;
-    let mut lo = 0;
-    while lo < n {
-        let hi = (lo + epoch_len).min(n);
+    for epoch in fams.chunks(shards * EPOCH_FAMILIES_PER_SHARD) {
         epochs += 1;
-        let epoch_outputs: Vec<FamilyOutput> = {
-            let snapshot: &QueryCache = cache;
-            let run = |&(s, e): &(usize, usize)| {
-                solve_family(pool, &queries[s..e], opts, stats, snapshot, true)
-            };
-            if workers <= 1 || hi - lo <= 1 {
-                worker_loads[0].families += (hi - lo) as u64;
-                fams[lo..hi].iter().map(run).collect()
-            } else {
-                let mut shard_q: Vec<Vec<usize>> = vec![Vec::new(); shards];
-                for (i, f) in fams.iter().enumerate().take(hi).skip(lo) {
-                    let key = groups[f.0];
-                    shard_q[(key % shards as u64) as usize].push(i);
-                }
-                let cursors: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(0)).collect();
-                let slots: Vec<std::sync::Mutex<Option<FamilyOutput>>> =
-                    (lo..hi).map(|_| std::sync::Mutex::new(None)).collect();
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|w| {
-                            let (shard_q, cursors, slots, run) =
-                                (&shard_q, &cursors, &slots, &run);
-                            scope.spawn(move || {
-                                let mut load = WorkerLoad::default();
-                                let home = w % shards;
-                                loop {
-                                    let mut claimed = None;
-                                    for off in 0..shards {
-                                        let sh = (home + off) % shards;
-                                        let c =
-                                            cursors[sh].fetch_add(1, Ordering::Relaxed) as usize;
-                                        if c < shard_q[sh].len() {
-                                            claimed = Some((sh, shard_q[sh][c]));
-                                            break;
-                                        }
-                                    }
-                                    let Some((sh, fi)) = claimed else { break };
-                                    load.families += 1;
-                                    load.stolen += u64::from(sh != home);
-                                    let out = run(&fams[fi]);
-                                    *slots[fi - lo]
-                                        .lock()
-                                        .expect("no poisoning: workers do not panic") = Some(out);
-                                }
-                                load
-                            })
-                        })
-                        .collect();
-                    for (w, h) in handles.into_iter().enumerate() {
-                        let l = h.join().expect("worker threads do not panic");
-                        worker_loads[w].families += l.families;
-                        worker_loads[w].stolen += l.stolen;
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|m| {
-                        m.into_inner()
-                            .expect("scope joined")
-                            .expect("all families claimed")
-                    })
-                    .collect()
-            }
-        };
+        let snapshot: &QueryCache = cache;
+        let (outputs, claimed) = parallel_map(epoch, workers, |&(s, e)| {
+            solve_family(pool, &queries[s..e], opts, snapshot)
+        });
+        for (load, n) in worker_loads.iter_mut().zip(claimed) {
+            load.families += n;
+        }
         // Epoch barrier: commit outcomes and merge cache additions in
         // family order, so the next epoch's snapshot — identical for
         // every worker count — includes everything learned so far.
-        for out in epoch_outputs {
+        for out in outputs {
             outcomes.extend(out.outcomes);
             clauses_retained += out.clauses_retained;
             cache.merge(out.additions);
         }
-        lo = hi;
     }
     GroupedOutcome {
         outcomes,
-        families: n as u64,
+        families: fams.len() as u64,
         clauses_retained,
         epochs,
         worker_loads,
@@ -1522,10 +1085,6 @@ fn run_worksteal(
 mod tests {
     use super::*;
 
-    fn solo() -> (SolverOptions, SolverStats) {
-        (SolverOptions::default(), SolverStats::default())
-    }
-
     #[test]
     fn pure_boolean_sat_and_unsat() {
         let mut p = TermPool::new();
@@ -1533,11 +1092,11 @@ mod tests {
         let b = p.bool_atom(1);
         let na = p.not(a);
         let f = p.or2(a, b);
-        let (opts, stats) = solo();
-        assert_eq!(check(&p, f, &opts, &stats), SmtResult::Sat);
+        let opts = SolverOptions::default();
+        assert_eq!(check(&p, f, &opts), SmtResult::Sat);
         let nb = p.not(b);
         let g = p.and([f, na, nb]);
-        assert_eq!(check(&p, g, &opts, &stats), SmtResult::Unsat);
+        assert_eq!(check(&p, g, &opts), SmtResult::Unsat);
     }
 
     #[test]
@@ -1549,8 +1108,8 @@ mod tests {
         let o1 = p.order_lt(13, 6); // store before load
         let o2 = p.order_lt(3, 13); // no overwrite
         let guard = p.and([theta, ntheta, o1, o2]);
-        let (opts, stats) = solo();
-        assert_eq!(check(&p, guard, &opts, &stats), SmtResult::Unsat);
+        let opts = SolverOptions::default();
+        assert_eq!(check(&p, guard, &opts), SmtResult::Unsat);
     }
 
     #[test]
@@ -1570,9 +1129,10 @@ mod tests {
         let left = p.and([cyc, a, b]);
         let right = p.and2(cyc, na);
         let f = p.or2(left, right);
-        let (opts, stats) = solo();
-        assert_eq!(check(&p, f, &opts, &stats), SmtResult::Unsat);
-        assert!(stats.theory_lemmas.load(Ordering::Relaxed) > 0);
+        let opts = SolverOptions::default();
+        let (result, q) = check_counted(&p, f, &opts);
+        assert_eq!(result, SmtResult::Unsat);
+        assert!(q.theory_lemmas > 0);
     }
 
     #[test]
@@ -1584,8 +1144,8 @@ mod tests {
         let o23 = p.order_lt(2, 3);
         let choice = p.or2(o12, o21);
         let f = p.and2(choice, o23);
-        let (opts, stats) = solo();
-        assert_eq!(check(&p, f, &opts, &stats), SmtResult::Sat);
+        let opts = SolverOptions::default();
+        assert_eq!(check(&p, f, &opts), SmtResult::Sat);
     }
 
     #[test]
@@ -1601,9 +1161,8 @@ mod tests {
             prefilter: false,
             ..SolverOptions::default()
         };
-        let stats = SolverStats::default();
         let f = p.and([o12, o23, o31]);
-        assert_eq!(check(&p, f, &opts, &stats), SmtResult::Unsat);
+        assert_eq!(check(&p, f, &opts), SmtResult::Unsat);
     }
 
     #[test]
@@ -1613,10 +1172,15 @@ mod tests {
         let o23 = p.order_lt(2, 3);
         let o31 = p.order_lt(3, 1);
         let f = p.and([o12, o23, o31]);
-        let (opts, stats) = solo();
-        assert_eq!(check(&p, f, &opts, &stats), SmtResult::Unsat);
-        assert_eq!(stats.prefiltered.load(Ordering::Relaxed), 1);
-        assert_eq!(stats.solved.load(Ordering::Relaxed), 0);
+        let opts = SolverOptions::default();
+        let (result, q) = check_counted(&p, f, &opts);
+        assert_eq!(result, SmtResult::Unsat);
+        // Answered by the prefilter alone: no CDCL work at all.
+        let prefiltered_only = QueryStats {
+            prefiltered: true,
+            ..QueryStats::default()
+        };
+        assert_eq!(q, prefiltered_only);
     }
 
     #[test]
@@ -1639,10 +1203,8 @@ mod tests {
             num_threads: 4,
             ..SolverOptions::default()
         };
-        let s1 = SolverStats::default();
-        let s2 = SolverStats::default();
-        let seq = check_all(&p, &queries, &seq_opts, &s1);
-        let par = check_all(&p, &queries, &par_opts, &s2);
+        let seq = check_all(&p, &queries, &seq_opts);
+        let par = check_all(&p, &queries, &par_opts);
         assert_eq!(seq, par);
         for (i, r) in seq.iter().enumerate() {
             assert_eq!(r.is_sat(), i % 2 == 0, "query {i}");
@@ -1702,9 +1264,8 @@ mod tests {
             strategy: SolverStrategy::Incremental,
             ..SolverOptions::default()
         };
-        let stats = SolverStats::default();
         let mut cache = QueryCache::new();
-        let out = check_all_grouped(&p, &queries, &groups, &opts, &stats, &mut cache);
+        let out = check_all_grouped(&p, &queries, &groups, &opts, &mut cache);
         let verdicts: Vec<SmtResult> = out.outcomes.iter().map(|o| o.result).collect();
         assert_eq!(
             verdicts,
@@ -1727,7 +1288,7 @@ mod tests {
         assert!(cache.core_len() >= 1);
         assert!(cache.subsumes(&p.conjuncts_of(q_super)));
         // A later batch reuses the merged cache across families.
-        let out2 = check_all_grouped(&p, &[q_super], &[99], &opts, &stats, &mut cache);
+        let out2 = check_all_grouped(&p, &[q_super], &[99], &opts, &mut cache);
         assert_eq!(out2.outcomes[0].result, SmtResult::Unsat);
         assert!(out2.outcomes[0].memo_hit || out2.outcomes[0].core_subsumed);
     }
@@ -1754,8 +1315,6 @@ mod tests {
                 groups.push(src);
             }
         }
-        let stats_f = SolverStats::default();
-        let stats_i = SolverStats::default();
         let fresh = SolverOptions {
             strategy: SolverStrategy::Fresh,
             ..SolverOptions::default()
@@ -1766,8 +1325,8 @@ mod tests {
         };
         let mut c1 = QueryCache::new();
         let mut c2 = QueryCache::new();
-        let a = check_all_grouped(&p, &queries, &groups, &fresh, &stats_f, &mut c1);
-        let b = check_all_grouped(&p, &queries, &groups, &incr, &stats_i, &mut c2);
+        let a = check_all_grouped(&p, &queries, &groups, &fresh, &mut c1);
+        let b = check_all_grouped(&p, &queries, &groups, &incr, &mut c2);
         let va: Vec<SmtResult> = a.outcomes.iter().map(|o| o.result).collect();
         let vb: Vec<SmtResult> = b.outcomes.iter().map(|o| o.result).collect();
         assert_eq!(va, vb);
@@ -1794,14 +1353,13 @@ mod tests {
             }
         }
         let mk = |threads: usize| {
-            let stats = SolverStats::default();
             let opts = SolverOptions {
                 num_threads: threads,
                 strategy: SolverStrategy::Incremental,
                 ..SolverOptions::default()
             };
             let mut cache = QueryCache::new();
-            let out = check_all_grouped(&p, &queries, &groups, &opts, &stats, &mut cache);
+            let out = check_all_grouped(&p, &queries, &groups, &opts, &mut cache);
             out.outcomes
                 .iter()
                 .map(|o| (o.result, o.stats, o.memo_hit, o.core_subsumed, o.incremental))
@@ -1810,7 +1368,7 @@ mod tests {
         assert_eq!(mk(1), mk(4));
     }
 
-    /// Query set with enough families to span several work-stealing
+    /// Query set with enough families to span several dispatcher
     /// epochs, mixing sat members, an unsat order cycle per third
     /// family, and duplicate members for the memo.
     fn epoch_scale_queries(p: &mut TermPool) -> (Vec<TermId>, Vec<u64>) {
@@ -1835,20 +1393,18 @@ mod tests {
     }
 
     #[test]
-    fn dispatchers_and_shard_counts_agree_on_verdicts() {
+    fn shard_counts_agree_on_verdicts() {
         let mut p = TermPool::new();
         let (queries, groups) = epoch_scale_queries(&mut p);
-        let mk = |dispatch: Dispatch, shards: usize, threads: usize| {
-            let stats = SolverStats::default();
+        let mk = |shards: usize, threads: usize| {
             let opts = SolverOptions {
                 num_threads: threads,
                 strategy: SolverStrategy::Incremental,
-                dispatch,
                 shards,
                 ..SolverOptions::default()
             };
             let mut cache = QueryCache::new();
-            let out = check_all_grouped(&p, &queries, &groups, &opts, &stats, &mut cache);
+            let out = check_all_grouped(&p, &queries, &groups, &opts, &mut cache);
             assert_eq!(out.families, 40);
             (
                 out.outcomes
@@ -1858,42 +1414,30 @@ mod tests {
                 out.epochs,
             )
         };
-        let (base_verdicts, base_epochs) = mk(Dispatch::WorkSteal, 0, 1);
+        let (base_verdicts, base_epochs) = mk(0, 1);
         // 40 families at 8 shards × 2 families/shard = 3 epochs.
         assert_eq!(base_epochs, 3);
-        for (dispatch, shards, threads) in [
-            (Dispatch::WorkSteal, 0, 4),
-            (Dispatch::WorkSteal, 2, 1),
-            (Dispatch::WorkSteal, 2, 4),
-            (Dispatch::WorkSteal, 16, 3),
-            (Dispatch::Static, 0, 1),
-            (Dispatch::Static, 0, 4),
-        ] {
-            let (verdicts, epochs) = mk(dispatch, shards, threads);
+        for (shards, threads) in [(0, 4), (2, 1), (2, 4), (16, 3)] {
+            let (verdicts, _) = mk(shards, threads);
             assert_eq!(
                 verdicts, base_verdicts,
-                "verdicts differ at dispatch={dispatch:?} shards={shards} threads={threads}"
+                "verdicts differ at shards={shards} threads={threads}"
             );
-            if dispatch == Dispatch::Static {
-                assert_eq!(epochs, 1, "static batching has one barrier");
-            }
         }
     }
 
     #[test]
-    fn worksteal_outcomes_byte_identical_across_thread_counts() {
+    fn grouped_outcomes_byte_identical_across_thread_counts() {
         let mut p = TermPool::new();
         let (queries, groups) = epoch_scale_queries(&mut p);
         let mk = |threads: usize| {
-            let stats = SolverStats::default();
             let opts = SolverOptions {
                 num_threads: threads,
                 strategy: SolverStrategy::Incremental,
-                dispatch: Dispatch::WorkSteal,
                 ..SolverOptions::default()
             };
             let mut cache = QueryCache::new();
-            let out = check_all_grouped(&p, &queries, &groups, &opts, &stats, &mut cache);
+            let out = check_all_grouped(&p, &queries, &groups, &opts, &mut cache);
             out.outcomes
                 .iter()
                 .map(|o| {
@@ -1903,7 +1447,6 @@ mod tests {
                         o.memo_hit,
                         o.core_subsumed,
                         o.incremental,
-                        o.cubed,
                     )
                 })
                 .collect::<Vec<_>>()
@@ -1912,70 +1455,6 @@ mod tests {
         assert_eq!(one, mk(2));
         assert_eq!(one, mk(4));
         assert_eq!(one, mk(7));
-    }
-
-    /// Pigeonhole 3→2 as a term: propositionally unsat and needing
-    /// several CDCL conflicts, so a one-conflict budget must escalate.
-    fn php32(p: &mut TermPool) -> TermId {
-        let mut clauses = Vec::new();
-        for i in 0..3u32 {
-            let a = p.bool_atom(i * 2);
-            let b = p.bool_atom(i * 2 + 1);
-            clauses.push(p.or2(a, b));
-        }
-        for j in 0..2u32 {
-            for i1 in 0..3u32 {
-                for i2 in (i1 + 1)..3u32 {
-                    let a = p.bool_atom(i1 * 2 + j);
-                    let na = p.not(a);
-                    let b = p.bool_atom(i2 * 2 + j);
-                    let nb = p.not(b);
-                    clauses.push(p.or2(na, nb));
-                }
-            }
-        }
-        p.and(clauses)
-    }
-
-    #[test]
-    fn cube_escalation_fires_on_hard_member_and_preserves_verdicts() {
-        let mut p = TermPool::new();
-        let hard = php32(&mut p);
-        let o = p.order_lt(1, 2);
-        let easy = p.and2(o, hard); // same family: duplicate-free sibling
-        let queries = [hard, easy];
-        let groups = [3u64, 3];
-        let run = |cube_split: usize, cube_budget: u64| {
-            let stats = SolverStats::default();
-            let opts = SolverOptions {
-                cube_split,
-                cube_budget,
-                strategy: SolverStrategy::Incremental,
-                ..SolverOptions::default()
-            };
-            let mut cache = QueryCache::new();
-            let out = check_all_grouped(&p, &queries, &groups, &opts, &stats, &mut cache);
-            (
-                out.outcomes.iter().map(|o| o.result).collect::<Vec<_>>(),
-                out.outcomes.iter().map(|o| o.cubed).collect::<Vec<_>>(),
-                stats.cube_escalated.load(Ordering::Relaxed),
-            )
-        };
-        let (plain_verdicts, plain_cubed, plain_esc) = run(0, 1);
-        assert!(plain_cubed.iter().all(|&c| !c));
-        assert_eq!(plain_esc, 0);
-        let (cube_verdicts, cube_cubed, cube_esc) = run(3, 1);
-        assert_eq!(cube_verdicts, plain_verdicts, "escalation is a pure optimization");
-        assert!(
-            cube_cubed.iter().any(|&c| c),
-            "a one-conflict budget must escalate the pigeonhole member"
-        );
-        assert!(cube_esc > 0);
-        // A generous budget never escalates.
-        let (gen_verdicts, gen_cubed, gen_esc) = run(3, 1_000_000);
-        assert_eq!(gen_verdicts, plain_verdicts);
-        assert!(gen_cubed.iter().all(|&c| !c));
-        assert_eq!(gen_esc, 0);
     }
 
     #[test]
@@ -2000,11 +1479,6 @@ mod tests {
             prefilter: false,
             ..SolverOptions::default()
         };
-        let s1 = SolverStats::default();
-        let s2 = SolverStats::default();
-        assert_eq!(
-            check(&p, f, &plain_opts, &s1),
-            check(&p, f, &cube_opts, &s2)
-        );
+        assert_eq!(check(&p, f, &plain_opts), check(&p, f, &cube_opts));
     }
 }

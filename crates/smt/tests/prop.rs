@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use canary_smt::{check, SmtResult, SolverOptions, SolverStats, TermId, TermPool};
+use canary_smt::{check, SmtResult, SolverOptions, TermId, TermPool};
 
 const N_BOOLS: u32 = 4;
 const N_EVENTS: u32 = 4;
@@ -106,8 +106,7 @@ proptest! {
         let mut pool = TermPool::new();
         let t = build(&mut pool, &shape);
         let expected = brute_force_sat(&pool, t);
-        let stats = SolverStats::default();
-        let got = check(&pool, t, &SolverOptions::default(), &stats);
+        let got = check(&pool, t, &SolverOptions::default());
         prop_assert_eq!(got.is_sat(), expected, "term: {}", pool.render(t));
     }
 
@@ -116,13 +115,11 @@ proptest! {
         // With the prefilter off, results must be identical.
         let mut pool = TermPool::new();
         let t = build(&mut pool, &shape);
-        let stats = SolverStats::default();
-        let with = check(&pool, t, &SolverOptions::default(), &stats);
+        let with = check(&pool, t, &SolverOptions::default());
         let without = check(
             &pool,
             t,
-            &SolverOptions { prefilter: false, ..SolverOptions::default() },
-            &stats,
+            &SolverOptions { prefilter: false, ..SolverOptions::default() }
         );
         prop_assert_eq!(with, without);
     }
@@ -133,9 +130,8 @@ proptest! {
         let mut pool = TermPool::new();
         let t = build(&mut pool, &shape);
         let nt = pool.not(t);
-        let stats = SolverStats::default();
-        let rt = check(&pool, t, &SolverOptions::default(), &stats);
-        let rnt = check(&pool, nt, &SolverOptions::default(), &stats);
+        let rt = check(&pool, t, &SolverOptions::default());
+        let rnt = check(&pool, nt, &SolverOptions::default());
         prop_assert!(
             rt == SmtResult::Sat || rnt == SmtResult::Sat,
             "both t and not t unsat: {}",
@@ -156,13 +152,11 @@ proptest! {
     fn cube_and_conquer_matches_plain(shape in shape_strategy()) {
         let mut pool = TermPool::new();
         let t = build(&mut pool, &shape);
-        let stats = SolverStats::default();
-        let plain = check(&pool, t, &SolverOptions::default(), &stats);
+        let plain = check(&pool, t, &SolverOptions::default());
         let cube = check(
             &pool,
             t,
-            &SolverOptions { num_threads: 2, cube_split: 2, ..SolverOptions::default() },
-            &stats,
+            &SolverOptions { num_threads: 2, cube_split: 2, ..SolverOptions::default() }
         );
         prop_assert_eq!(plain, cube);
     }

@@ -320,12 +320,12 @@ impl MetricsRegistry {
 }
 
 /// Whether a metric family is **volatile** — nondeterministic across
-/// runs by nature (wall-clock times, OS memory accounting, work-steal
+/// runs by nature (wall-clock times, OS memory accounting, worker
 /// scheduling) and therefore *dropped wholesale* by the normalization
 /// helpers, exactly like the SARIF manifest quarantines `timings`.
 /// Dropping (rather than zeroing) matters because some volatile
 /// families are conditionally emitted — `canary_dispatch_*` exists
-/// only when a work-stealing dispatch actually ran — so even their
+/// only when a query-family dispatch actually ran — so even their
 /// `# TYPE`/`# HELP` headers differ across knobs.
 pub fn family_is_volatile(name: &str) -> bool {
     name.ends_with("_seconds") || name.contains("_rss_") || name.starts_with("canary_dispatch_")
@@ -583,8 +583,8 @@ mod tests {
             0.002,
         );
         reg.set_gauge(
-            "canary_dispatch_worker_stolen",
-            "steals",
+            "canary_dispatch_worker_families",
+            "families",
             &[("worker", "1")],
             2.0,
         );
@@ -595,7 +595,7 @@ mod tests {
         assert!(!fams
             .iter()
             .any(|f| f["name"] == "canary_smt_query_seconds"
-                || f["name"] == "canary_dispatch_worker_stolen"));
+                || f["name"] == "canary_dispatch_worker_families"));
         let gauge = fams.iter().find(|f| f["name"] == "canary_vfg_nodes").unwrap();
         assert_eq!(gauge["samples"][0]["value"].as_f64(), Some(5.0));
     }
@@ -612,7 +612,6 @@ mod tests {
         assert!(family_is_volatile("canary_phase_wall_seconds"));
         assert!(family_is_volatile("canary_phase_peak_rss_bytes"));
         assert!(family_is_volatile("canary_dispatch_worker_families"));
-        assert!(family_is_volatile("canary_dispatch_worker_stolen"));
         assert!(!family_is_volatile("canary_vfg_bytes"));
         assert!(!family_is_volatile("canary_audit_candidates"));
         assert!(family_is_strategy_sensitive("canary_solver_memo_hits"));

@@ -397,7 +397,7 @@ pub fn generate(spec: &WorkloadSpec) -> Workload {
     // disjunctions), out of the prefilter's reach: the solver must
     // fail every notify disjunct of every wait before concluding
     // Unsat. Work per member scales with the notify quorum, making
-    // these the §5.2 hard-query class that drives cube escalation.
+    // these the §5.2 hard-query class.
     let fanout = spec.family_readers();
     for (i, &h) in hard_users.iter().enumerate() {
         let mut f = b.body(h);

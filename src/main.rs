@@ -22,30 +22,18 @@
 //!   --no-sync             disable lock/wait constraint generation
 //!   --no-prefilter        disable the semi-decision prefilter
 //!   --memory-model MODEL  sc (default), tso or pso
-//!   --threads N           front-end worker threads (default 1; output
-//!                         is byte-identical for any value)
-//!   --solver-threads N    parallel SMT query workers (default 1)
+//!   --threads N           worker threads for the front end and the SMT
+//!                         queries (default 1; output is byte-identical
+//!                         for any value)
 //!   --solver-strategy S   fresh (one solver per query) or incremental
 //!                         (query-family solving with UNSAT-core
-//!                         subsumption and memoization; the default,
-//!                         also settable via CANARY_SOLVER_STRATEGY)
-//!   --dispatch D          static (contiguous per-worker family chunks)
-//!                         or worksteal (sharded work-stealing family
-//!                         scheduler; the default, also settable via
-//!                         CANARY_DISPATCH) — output is byte-identical
-//!                         either way
-//!   --shards N            query-family shards for the work-stealing
-//!                         dispatcher (default 0 = auto)
-//!   --cube-split N        escalate family members that blow the
-//!                         conflict budget to cube-and-conquer over N
-//!                         branch atoms (default 0 = off)
-//!   --memory-budget-mb N  spill cold function summaries to an on-disk
-//!                         store, keeping at most N MiB resident
+//!                         subsumption and memoization; the default)
 //!   --unroll K            loop unrolling depth (default 2)
 //!   --context-depth N     clone-based context sensitivity depth
 //!                         (default 0 = context-insensitive)
-//!   --max-paths N         candidate path budget per source
-//!   --max-path-len N      candidate path length budget
+//!   --max-paths N         candidate path budget per source (at least 1)
+//!   --max-path-len N      candidate path length budget in VFG nodes
+//!                         (at least 2)
 //!   --tool NAME           canary (default), or the saber / fsam
 //!                         unguarded baselines
 //!   --explain             print a minimized unsat core for each
@@ -59,7 +47,7 @@
 //!   --audit-out FILE      write the per-candidate audit log as JSONL
 //!                         (one disposition certificate per line; see
 //!                         docs/audit_schema.md) — byte-identical
-//!                         across every scheduling and strategy knob
+//!                         across --threads and --solver-strategy
 //!   --slow-query-ms N     log any SMT query at or over N ms to stderr
 //!                         with its full QueryProfile attribution
 //!   --log LEVEL           off, summary or debug; overrides CANARY_LOG
@@ -111,10 +99,9 @@ fn usage() -> ! {
          [--inter-thread-only] [--format text|json|sarif] [--json] \
          [--json-out FILE] [--sarif-out FILE] [--baseline FILE] \
          [--no-mhp] [--no-sync] [--no-prefilter] \
-         [--memory-model sc|tso|pso] [--threads N] [--solver-threads N] \
-         [--solver-strategy fresh|incremental] [--dispatch static|worksteal] \
-         [--shards N] [--cube-split N] [--memory-budget-mb N] [--unroll K] \
-         [--context-depth N] [--max-paths N] [--max-path-len N] \
+         [--memory-model sc|tso|pso] [--threads N] \
+         [--solver-strategy fresh|incremental] [--unroll K] [--context-depth N] \
+         [--max-paths N] [--max-path-len N] \
          [--tool canary|saber|fsam] [--explain] [--verify-witnesses] \
          [--trace-out FILE] [--metrics-out FILE] [--audit-out FILE] \
          [--slow-query-ms N] [--log off|summary|debug] [--stats]\n\
@@ -260,16 +247,6 @@ fn parse_args(args: &[String]) -> Cli {
                 }
                 config.threads = n;
             }
-            "--solver-threads" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse().ok()) else {
-                    usage()
-                };
-                config.detect.solver = SolverOptions {
-                    num_threads: n,
-                    ..config.detect.solver
-                };
-            }
             "--solver-strategy" => {
                 i += 1;
                 let Some(s) = args.get(i) else { usage() };
@@ -281,45 +258,6 @@ fn parse_args(args: &[String]) -> Cli {
                     strategy,
                     ..config.detect.solver
                 };
-            }
-            "--dispatch" => {
-                i += 1;
-                let Some(d) = args.get(i) else { usage() };
-                let Some(dispatch) = canary_smt::Dispatch::parse(d) else {
-                    eprintln!("unknown dispatch `{d}` (static|worksteal)");
-                    usage()
-                };
-                config.detect.solver = SolverOptions {
-                    dispatch,
-                    ..config.detect.solver
-                };
-            }
-            "--shards" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse().ok()) else {
-                    usage()
-                };
-                config.detect.solver = SolverOptions {
-                    shards: n,
-                    ..config.detect.solver
-                };
-            }
-            "--cube-split" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse().ok()) else {
-                    usage()
-                };
-                config.detect.solver = SolverOptions {
-                    cube_split: n,
-                    ..config.detect.solver
-                };
-            }
-            "--memory-budget-mb" => {
-                i += 1;
-                let Some(n) = args.get(i).and_then(|s| s.parse().ok()) else {
-                    usage()
-                };
-                config.memory_budget_mb = Some(n);
             }
             "--tool" => {
                 i += 1;
@@ -339,6 +277,10 @@ fn parse_args(args: &[String]) -> Cli {
                 let Some(n) = args.get(i).and_then(|s| s.parse().ok()) else {
                     usage()
                 };
+                if n < 1 {
+                    eprintln!("--max-paths must be at least 1");
+                    usage()
+                }
                 config.detect.limits.max_paths = n;
             }
             "--max-path-len" => {
@@ -346,6 +288,11 @@ fn parse_args(args: &[String]) -> Cli {
                 let Some(n) = args.get(i).and_then(|s| s.parse().ok()) else {
                     usage()
                 };
+                if n < 2 {
+                    // A candidate path holds at least a source and a sink.
+                    eprintln!("--max-path-len must be at least 2");
+                    usage()
+                }
                 config.detect.limits.max_len = n;
             }
             "--context-depth" => {
@@ -834,34 +781,14 @@ fn run_manifest(
             ("checkers".into(), checkers.join(",")),
             ("context_depth".into(), config.context_depth.to_string()),
             (
-                "cube_split".into(),
-                config.detect.solver.cube_split.to_string(),
-            ),
-            (
-                "dispatch".into(),
-                config.detect.solver.dispatch.as_str().to_string(),
-            ),
-            (
                 "inter_thread_only".into(),
                 config.detect.inter_thread_only.to_string(),
             ),
             ("loop_unroll".into(), config.parse.loop_unroll.to_string()),
-            (
-                "memory_budget_mb".into(),
-                config
-                    .memory_budget_mb
-                    .map(|mb| mb.to_string())
-                    .unwrap_or_else(|| "none".into()),
-            ),
             ("memory_model".into(), memory_model.to_string()),
             (
                 "prefilter".into(),
                 config.detect.solver.prefilter.to_string(),
-            ),
-            ("shards".into(), config.detect.solver.shards.to_string()),
-            (
-                "solver_threads".into(),
-                config.detect.solver.num_threads.to_string(),
             ),
             (
                 "sync_constraints".into(),
@@ -993,10 +920,6 @@ fn json_document(
                 "time_detect_ms": m.t_detect.as_secs_f64() * 1e3,
                 "solver": {
                     "strategy": strategy,
-                    "dispatch": cli.config.detect.solver.dispatch.as_str(),
-                    "shards": cli.config.detect.solver.shards,
-                    "cube_split": cli.config.detect.solver.cube_split,
-                    "cube_escalated": m.detect.cube_escalated,
                     "shard_epochs": m.detect.epochs,
                     "prefiltered": m.detect.prefiltered,
                     "decisions": m.detect.decisions,
@@ -1015,14 +938,6 @@ fn json_document(
                     } else {
                         0.0
                     },
-                },
-                "spill": {
-                    "budget_bytes": m.spill.budget_bytes,
-                    "bytes_written": m.spill.bytes_written,
-                    "entries": m.spill.entries,
-                    "evictions": m.spill.evictions,
-                    "reloads": m.spill.reloads,
-                    "resident_bytes": m.spill.resident_bytes,
                 },
                 "hot_queries": hot_queries,
                 "hot_functions": hot_functions,
@@ -1056,7 +971,23 @@ fn print_text_output(
 ) {
     {
         if outcome.reports.is_empty() {
-            println!("canary: no bugs found in {}", cli.file);
+            // A budget-truncated enumeration may have cut the very path
+            // that carries a bug, so an empty verdict says so.
+            let truncated = outcome
+                .metrics
+                .audit
+                .reconcile()
+                .map_or(0, |a| a.path_budget);
+            if truncated == 0 {
+                println!("canary: no bugs found in {}", cli.file);
+            } else {
+                println!(
+                    "canary: no bugs found in {}, but the path budget truncated \
+                     {truncated} candidate-path search(es); raise --max-paths / \
+                     --max-path-len to search further",
+                    cli.file
+                );
+            }
         } else {
             println!("{}", outcome.render(prog));
         }
@@ -1140,29 +1071,10 @@ fn print_text_output(
                 reuse_rate,
                 m.detect.clauses_retained,
             );
-            println!(
-                "dispatch [{}]: {} shard epoch(s) | {} cube-escalated \
-                 (cube-split {})",
-                cli.config.detect.solver.dispatch.as_str(),
-                m.detect.epochs,
-                m.detect.cube_escalated,
-                cli.config.detect.solver.cube_split,
-            );
+            println!("dispatch: {} shard epoch(s)", m.detect.epochs);
             match m.audit.reconcile() {
                 Ok(summary) => println!("{}", summary.render()),
                 Err(e) => println!("audit: RECONCILIATION FAILED: {e}"),
-            }
-            if m.spill.budget_bytes > 0 || m.spill.entries > 0 {
-                println!(
-                    "spill: {} entr(ies), {} bytes written | {} evictions, \
-                     {} reloads | {} resident bytes (budget {} bytes)",
-                    m.spill.entries,
-                    m.spill.bytes_written,
-                    m.spill.evictions,
-                    m.spill.reloads,
-                    m.spill.resident_bytes,
-                    m.spill.budget_bytes,
-                );
             }
             let hot = m.hottest_queries(TOP_K);
             if !hot.is_empty() {

@@ -5,8 +5,8 @@
 //!    counts reconcile: `candidates = reported + deduped + prefiltered
 //!    + unsat + memoized + scope-filtered`.
 //! 2. **Strategy invariance** — the `--audit-out` JSONL export is
-//!    byte-identical across solver strategy, dispatcher, shard count,
-//!    worker thread count, cube escalation and `--explain`: every
+//!    byte-identical across solver strategy, shard count, worker
+//!    thread count and `--explain`: every
 //!    disposition is derived from term-determined data, never from
 //!    scheduling.
 //!
@@ -16,18 +16,15 @@
 
 use canary::{AnalysisOutcome, Canary, CanaryConfig};
 use canary_detect::Disposition;
-use canary_smt::{Dispatch, SolverStrategy};
+use canary_smt::SolverStrategy;
 use canary_workloads::{generate, WorkloadSpec};
 use proptest::prelude::*;
 
 #[derive(Clone, Copy)]
 struct Knobs {
     strategy: SolverStrategy,
-    dispatch: Dispatch,
     shards: usize,
     threads: usize,
-    cube_split: usize,
-    cube_budget: u64,
     explain: bool,
 }
 
@@ -35,11 +32,8 @@ impl Knobs {
     fn fresh() -> Knobs {
         Knobs {
             strategy: SolverStrategy::Fresh,
-            dispatch: Dispatch::WorkSteal,
             shards: 0,
             threads: 1,
-            cube_split: 0,
-            cube_budget: u64::MAX,
             explain: false,
         }
     }
@@ -54,11 +48,8 @@ impl Knobs {
     fn analyze(self, prog: &canary_ir::Program) -> AnalysisOutcome {
         let mut config = CanaryConfig::default();
         config.detect.solver.strategy = self.strategy;
-        config.detect.solver.dispatch = self.dispatch;
         config.detect.solver.shards = self.shards;
         config.detect.solver.num_threads = self.threads;
-        config.detect.solver.cube_split = self.cube_split;
-        config.detect.solver.cube_budget = self.cube_budget;
         config.detect.explain_refutations = self.explain;
         Canary::with_config(config).analyze(prog)
     }
@@ -66,8 +57,8 @@ impl Knobs {
 
 /// Workloads spanning all six checkers so every disposition source —
 /// checker candidates, prefilter folds, SMT refutations, report dedup
-/// — is exercised, with hard query families so cubed configurations
-/// actually escalate.
+/// — is exercised, with hard query families so refutations cost real
+/// solver work.
 fn spec_strategy() -> impl Strategy<Value = WorkloadSpec> {
     (
         0u64..1000,
@@ -124,9 +115,6 @@ proptest! {
             Knobs::incremental(),
             Knobs { threads: 4, ..Knobs::fresh() },
             Knobs { shards: 16, threads: 4, ..Knobs::incremental() },
-            Knobs { dispatch: Dispatch::Static, threads: 4, ..Knobs::incremental() },
-            Knobs { cube_split: 2, cube_budget: 2, ..Knobs::incremental() },
-            Knobs { cube_split: 2, cube_budget: 2, threads: 4, shards: 4, ..Knobs::incremental() },
             Knobs { explain: true, ..Knobs::fresh() },
             Knobs { explain: true, threads: 4, ..Knobs::incremental() },
         ] {

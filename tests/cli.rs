@@ -170,8 +170,20 @@ fn missing_file_exits_two() {
 #[test]
 fn unknown_flag_is_usage_error() {
     let path = write_temp("racy2.cir", RACY);
-    let out = canary_bin().arg(&path).arg("--bogus").output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
+    // The retired solver and memory knobs are unknown flags too.
+    for args in [
+        &["--bogus"][..],
+        &["--solver-threads", "2"][..],
+        &["--dispatch", "static"][..],
+        &["--shards", "4"][..],
+        &["--cube-split", "2"][..],
+        &["--memory-budget-mb", "1"][..],
+    ] {
+        let out = canary_bin().arg(&path).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -397,97 +409,46 @@ fn baseline_flag_gates_exit_on_new_findings_only() {
 }
 
 #[test]
-fn cube_split_flag_is_wired_end_to_end() {
-    let path = write_temp("racy_cube.cir", RACY);
-    // Valid value: accepted, echoed in the JSON solver block and the
-    // SARIF run manifest, findings unchanged.
-    let out = canary_bin()
-        .arg(&path)
-        .args(["--cube-split", "2", "--json"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1), "findings still gate the exit");
-    let doc: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
-    let solver = &doc["metrics"]["solver"];
-    assert_eq!(solver["cube_split"], 2, "{solver}");
-    assert!(solver["cube_escalated"].as_u64().is_some(), "{solver}");
-    assert_eq!(doc["reports"].as_array().unwrap().len(), 1);
-    let sarif: serde_json::Value = serde_json::from_slice(
-        &canary_bin()
-            .arg(&path)
-            .args(["--cube-split", "2", "--format", "sarif"])
-            .output()
-            .unwrap()
-            .stdout,
-    )
-    .unwrap();
-    let config = &sarif["runs"][0]["invocations"][0]["properties"]["config"];
-    assert_eq!(config["cube_split"], "2", "{config}");
-    // Invalid values are usage errors.
-    for bad in ["-1", "two", ""] {
-        let out = canary_bin()
-            .arg(&path)
-            .args(["--cube-split", bad])
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(2), "--cube-split {bad:?} must exit 2");
+fn zero_path_budgets_are_usage_errors() {
+    // A budget that admits no candidate path could only ever print an
+    // empty verdict, so it is rejected like `--threads 0`. A path holds
+    // at least a source and a sink node.
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/fig2_variant.cir");
+    let out = canary_bin().arg(&path).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "the default run reports the bug");
+    for (flag, value, floor) in [
+        ("--max-paths", "0", 1),
+        ("--max-path-len", "0", 2),
+        ("--max-path-len", "1", 2),
+    ] {
+        let out = canary_bin().arg(&path).args([flag, value]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{flag} {value} must exit 2");
+        assert!(out.stdout.is_empty(), "no verdict on a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("{flag} must be at least {floor}")), "{stderr}");
     }
 }
 
 #[test]
-fn dispatch_and_shards_flags_accepted_and_equivalent() {
-    let path = write_temp("racy_dispatch.cir", RACY);
-    let run = |extra: &[&str]| {
-        let out = canary_bin().arg(&path).args(extra).arg("--json").output().unwrap();
-        assert_eq!(out.status.code(), Some(1));
-        let doc: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
-        doc["reports"].clone()
-    };
-    let worksteal = run(&["--dispatch", "worksteal", "--shards", "4"]);
-    let staticd = run(&["--dispatch", "static"]);
-    assert_eq!(worksteal, staticd, "dispatchers agree on findings");
+fn truncated_empty_verdict_names_the_path_budget() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/fig2_variant.cir");
     let out = canary_bin()
         .arg(&path)
-        .args(["--dispatch", "bogus"])
+        .args(["--max-path-len", "2"])
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown dispatch"), "{stderr}");
-    let out = canary_bin()
-        .arg(&path)
-        .args(["--shards", "many"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn memory_budget_flag_spills_without_changing_findings() {
-    let path = write_temp("racy_budget.cir", RACY);
-    let out = canary_bin()
-        .arg(&path)
-        .args(["--memory-budget-mb", "1", "--json"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1));
-    let doc: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
-    assert_eq!(doc["reports"].as_array().unwrap().len(), 1);
-    let spill = &doc["metrics"]["spill"];
-    assert_eq!(spill["budget_bytes"], 1u64 << 20, "{spill}");
-    assert_eq!(spill["entries"], 2, "one spilled summary per function: {spill}");
-    assert!(spill["bytes_written"].as_u64().unwrap() > 0, "{spill}");
-    // Without the flag the spill block is inert.
-    let out = canary_bin().arg(&path).arg("--json").output().unwrap();
-    let doc: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
-    assert_eq!(doc["metrics"]["spill"]["entries"], 0);
-    // Invalid budget is a usage error.
-    let out = canary_bin()
-        .arg(&path)
-        .args(["--memory-budget-mb", "lots"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("no bugs found")
+            && stdout.contains("path budget truncated 2 candidate-path search(es)"),
+        "{stdout}"
+    );
+    // An untruncated empty verdict keeps its plain line.
+    let clean = write_temp("clean_budget.cir", CLEAN);
+    let out = canary_bin().arg(&clean).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("path budget"), "{stdout}");
 }
 
 #[test]
@@ -558,9 +519,7 @@ fn audit_export_is_byte_identical_across_scheduling_knobs() {
     let base = run(&["--solver-strategy", "fresh"]);
     for extra in [
         &["--solver-strategy", "incremental"][..],
-        &["--threads", "4", "--solver-threads", "4"][..],
-        &["--dispatch", "static", "--shards", "8"][..],
-        &["--cube-split", "2"][..],
+        &["--threads", "4"][..],
         &["--explain"][..],
     ] {
         assert_eq!(base, run(extra), "{extra:?}");

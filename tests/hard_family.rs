@@ -1,8 +1,7 @@
 //! Hard-family generator knobs (`family_fanout`, `hard_family_ratio`):
 //! hardened contradiction patterns stay infeasible — zero findings —
 //! but their refutation lives in the wait/notify order theory, beyond
-//! the construction-time prefilter, so they cost real CDCL(T) work and
-//! drive the §5.2 cube escalation under a tight conflict budget.
+//! the construction-time prefilter, so they cost real CDCL(T) work.
 
 use canary::{AnalysisOutcome, Canary, CanaryConfig};
 use canary_detect::{BugKind, DetectOptions};
@@ -91,25 +90,5 @@ fn hard_families_scale_work_with_fanout() {
         "fan-out widens the query family: {} vs {}",
         wide.metrics.detect.queries,
         narrow.metrics.detect.queries,
-    );
-}
-
-#[test]
-fn cube_escalation_fires_on_hard_families_without_changing_findings() {
-    let flat = analyze(1.0, 6, incremental());
-    let cubed = analyze(
-        1.0,
-        6,
-        SolverOptions {
-            cube_split: 2,
-            cube_budget: 1,
-            ..incremental()
-        },
-    );
-    assert_eq!(flat.reports.len(), cubed.reports.len());
-    assert_eq!(flat.metrics.detect.cube_escalated, 0);
-    assert!(
-        cubed.metrics.detect.cube_escalated > 0,
-        "a 1-conflict budget must escalate some hard member"
     );
 }

@@ -20,7 +20,7 @@ fn analyze_with_strategy(src: &str, strategy: SolverStrategy) -> canary::Analysi
 }
 
 fn analyze(src: &str) -> canary::AnalysisOutcome {
-    analyze_with_strategy(src, SolverStrategy::from_env())
+    analyze_with_strategy(src, SolverStrategy::Incremental)
 }
 
 #[test]

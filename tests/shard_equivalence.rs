@@ -1,6 +1,6 @@
-//! The dispatcher/shard/cube equivalence contract (PR-9): the
-//! work-stealing dispatcher, the shard count, the solver thread count
-//! and the §5.2 cube escalation are *pure scheduling and saturation
+//! The shard/thread equivalence contract: the shard count that sizes
+//! the family dispatcher's epochs, the solver thread count and the
+//! fresh path's §5.2 cube-and-conquer split are *pure scheduling
 //! knobs* — none of them may change a report, a per-query verdict, a
 //! refutation core, or (for fixed solver flags) any deterministic
 //! work counter.
@@ -9,36 +9,31 @@
 //!
 //! 1. a property test (12 cases) over random `canary-workloads`
 //!    programs with hard query families, comparing canonical outcomes
-//!    across dispatchers × shard counts × thread counts × cube
-//!    settings against a fresh-strategy baseline;
+//!    across shard counts × thread counts × cube settings against a
+//!    fresh-strategy baseline;
 //! 2. thread-invariance of the deterministic counter block
-//!    (`DetectStats`) for a fixed cubed configuration;
-//! 3. a CLI-level SARIF byte-identity check across the same knobs.
+//!    (`DetectStats`) for a fixed incremental configuration.
 
 use canary::{AnalysisOutcome, Canary, CanaryConfig};
-use canary_smt::{Dispatch, SolverStrategy};
+use canary_smt::SolverStrategy;
 use canary_workloads::{generate, WorkloadSpec};
 use proptest::prelude::*;
 
 #[derive(Clone, Copy)]
 struct Knobs {
     strategy: SolverStrategy,
-    dispatch: Dispatch,
     shards: usize,
     threads: usize,
     cube_split: usize,
-    cube_budget: u64,
 }
 
 impl Knobs {
     fn fresh() -> Knobs {
         Knobs {
             strategy: SolverStrategy::Fresh,
-            dispatch: Dispatch::WorkSteal,
             shards: 0,
             threads: 1,
             cube_split: 0,
-            cube_budget: u64::MAX,
         }
     }
 
@@ -52,11 +47,9 @@ impl Knobs {
     fn analyze(self, prog: &canary_ir::Program) -> AnalysisOutcome {
         let mut config = CanaryConfig::default();
         config.detect.solver.strategy = self.strategy;
-        config.detect.solver.dispatch = self.dispatch;
         config.detect.solver.shards = self.shards;
         config.detect.solver.num_threads = self.threads;
         config.detect.solver.cube_split = self.cube_split;
-        config.detect.solver.cube_budget = self.cube_budget;
         config.detect.explain_refutations = true;
         Canary::with_config(config).analyze(prog)
     }
@@ -112,8 +105,8 @@ fn canonical_json(outcome: &AnalysisOutcome) -> String {
 }
 
 /// Workloads that include hard query families (`family_fanout`,
-/// `hard_family_ratio`) so the cubed configurations actually escalate
-/// on some cases instead of vacuously agreeing.
+/// `hard_family_ratio`) so refutations cost real solver work instead
+/// of folding at construction.
 fn spec_strategy() -> impl Strategy<Value = WorkloadSpec> {
     (
         0u64..1000,
@@ -158,76 +151,23 @@ proptest! {
     fn outcomes_identical_across_shard_thread_and_cube_settings(spec in spec_strategy()) {
         let w = generate(&spec);
         let base = canonical_json(&Knobs::fresh().analyze(&w.prog));
-        let cubed = Knobs { cube_split: 2, cube_budget: 2, ..Knobs::incremental() };
         for knobs in [
             Knobs::incremental(),
             Knobs { shards: 1, ..Knobs::incremental() },
             Knobs { shards: 16, threads: 4, ..Knobs::incremental() },
-            Knobs { dispatch: Dispatch::Static, threads: 4, ..Knobs::incremental() },
-            Knobs { threads: 1, ..cubed },
-            Knobs { threads: 4, shards: 4, ..cubed },
+            Knobs { cube_split: 2, threads: 4, ..Knobs::fresh() },
         ] {
             prop_assert_eq!(&base, &canonical_json(&knobs.analyze(&w.prog)));
         }
         // Stronger than verdict equality: for fixed solver flags the
         // whole deterministic counter block — decisions, conflicts,
-        // propagations, lemmas, families, epochs, cube escalations —
-        // is invariant under the worker thread count.
-        let c1 = Knobs { threads: 1, shards: 4, ..cubed }.analyze(&w.prog);
-        let c4 = Knobs { threads: 4, shards: 4, ..cubed }.analyze(&w.prog);
+        // propagations, lemmas, families, epochs — is invariant under
+        // the worker thread count.
+        let c1 = Knobs { threads: 1, shards: 4, ..Knobs::incremental() }.analyze(&w.prog);
+        let c4 = Knobs { threads: 4, shards: 4, ..Knobs::incremental() }.analyze(&w.prog);
         prop_assert_eq!(
             format!("{:?}", c1.metrics.detect),
             format!("{:?}", c4.metrics.detect)
         );
-    }
-}
-
-/// Byte-level check via the CLI: for a fixed program, SARIF output
-/// must agree byte-for-byte (outside the run manifest, which records
-/// the actual knob values) across dispatchers, shard counts, cube
-/// settings and the memory budget.
-#[test]
-fn cli_sarif_is_byte_identical_across_dispatch_shards_and_cubes() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/fig2_variant.cir");
-    let run = |extra: &[&str]| -> String {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_canary"))
-            .arg(&path)
-            .args(["--format", "sarif"])
-            .args(extra)
-            .output()
-            .expect("run canary");
-        let mut doc: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid json");
-        // Blank the manifest: it records the actual dispatch/shard/cube
-        // flags, which are exactly what this test varies.
-        {
-            let serde_json::Value::Object(top) = &mut doc else {
-                panic!("expected object document")
-            };
-            let Some(serde_json::Value::Array(runs)) = top.get_mut("runs") else {
-                panic!("expected runs array")
-            };
-            let Some(serde_json::Value::Object(r)) = runs.get_mut(0) else {
-                panic!("expected run object")
-            };
-            let Some(serde_json::Value::Array(invs)) = r.get_mut("invocations") else {
-                panic!("expected invocations array")
-            };
-            let Some(serde_json::Value::Object(inv)) = invs.get_mut(0) else {
-                panic!("expected invocation object")
-            };
-            inv.insert("properties".to_string(), serde_json::Value::Null);
-        }
-        serde_json::to_string_pretty(&doc).expect("valid json")
-    };
-    let base = run(&[]);
-    for extra in [
-        &["--dispatch", "static"][..],
-        &["--dispatch", "worksteal", "--shards", "1"][..],
-        &["--shards", "16", "--threads", "4"][..],
-        &["--cube-split", "2"][..],
-        &["--cube-split", "2", "--threads", "4"][..],
-        &["--memory-budget-mb", "1"][..],
-    ] {
-        assert_eq!(base, run(extra), "SARIF differs under {extra:?}");
     }
 }
